@@ -12,7 +12,6 @@ use sofi_telemetry::{names, LocalHistogram, Registry};
 use sofi_trace::{GoldenError, GoldenRun};
 use std::cell::Cell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -71,10 +70,12 @@ pub struct ExecutorStats {
     /// a priori (program too short for a probe to ever pay) or after
     /// sampling showed measured probe cost dominating observed savings.
     pub gate_shards_off: u64,
-    /// Memo hits served from entries preloaded out of a persistent
-    /// cross-campaign warm store ([`Campaign::preload_memo`]) — a subset
-    /// of `memo_hits`, separated so repeat submissions can report how
-    /// much the daemon's store answered without simulation.
+    /// Experiments answered from the `sofi-serve` daemon's persistent
+    /// warm store without any simulation: the daemon looks each planned
+    /// experiment's coordinate up before sharding and never hands the
+    /// hits to an executor, so the executor itself always reports 0.
+    /// Counted in `experiments` too, and disjoint from `memo_hits`
+    /// (which counts in-campaign cache hits of *simulated* runs).
     pub store_hits: u64,
 }
 
@@ -132,31 +133,15 @@ impl ExecutorStats {
         self.workers = workers;
     }
 
-    /// Fraction of memo hits answered by warm-store-preloaded entries
-    /// (`0.0` when nothing hit).
+    /// Fraction of experiments answered from the daemon's warm store
+    /// (`0.0` when no experiment ran).
     pub fn store_hit_rate(&self) -> f64 {
-        let lookups = self.memo_hits + self.memo_misses;
-        if lookups == 0 {
+        if self.experiments == 0 {
             0.0
         } else {
-            self.store_hits as f64 / lookups as f64
+            self.store_hits as f64 / self.experiments as f64
         }
     }
-}
-
-/// Where a memo entry came from — provenance drives both the
-/// `store_hits` accounting (hits on [`MemoOrigin::Store`] entries) and
-/// [`Campaign::export_memo`] (only [`MemoOrigin::Fresh`] entries are
-/// worth persisting: seeds are recomputed per campaign and store
-/// entries are already persisted).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum MemoOrigin {
-    /// Recorded by a simulated run in this campaign.
-    Fresh,
-    /// Pre-seeded pristine checkpoint state.
-    Seed,
-    /// Preloaded from a persistent cross-campaign warm store.
-    Store,
 }
 
 /// One memoized outcome: what a run in this exact architectural state
@@ -166,26 +151,6 @@ enum MemoOrigin {
 struct MemoEntry {
     outcome: Outcome,
     final_cycle: u64,
-    origin: MemoOrigin,
-}
-
-/// One exportable fault-equivalence memo entry: a `(cycle, digest) →
-/// (outcome, final_cycle)` fact that holds for any campaign over the
-/// same program, event schedule and outcome-relevant configuration
-/// (cycle budget, serial limit). The `sofi-serve` daemon journals these
-/// in its persistent warm store and feeds them back into later
-/// campaigns via [`Campaign::preload_memo`]; the digest is purely
-/// content-determined, so records survive process restarts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MemoRecord {
-    /// Cycle coordinate of the memoized state.
-    pub cycle: u64,
-    /// Architectural-state digest at that cycle.
-    pub digest: StateDigest,
-    /// Outcome every run passing through this state classifies as.
-    pub outcome: Outcome,
-    /// Cycle at which such a run finishes (for cycles-saved accounting).
-    pub final_cycle: u64,
 }
 
 /// The per-campaign fault-equivalence memo: `(cycle, state digest) →
@@ -243,8 +208,10 @@ pub struct Campaign {
     golden: GoldenRun,
     analysis: DefUseAnalysis,
     plan: InjectionPlan,
-    reg_analysis: DefUseAnalysis,
-    reg_plan: InjectionPlan,
+    /// The register file's def/use space, built lazily on first use:
+    /// memory-domain campaigns (every serve job of the memory domain)
+    /// never touch it, and it costs more to build than the memory plan.
+    reg: OnceLock<(DefUseAnalysis, InjectionPlan)>,
     /// Control-flow fault spaces (`sofi_space::cflow`), built lazily on
     /// first use: most campaigns never touch them, and the opcode-bit
     /// space is 32 columns per ROM slot.
@@ -261,10 +228,6 @@ pub struct Campaign {
     /// Fault-equivalence outcome memo (see [`MemoCache`]); populated and
     /// consulted only when [`CampaignConfig::memoization`] is on.
     memo: Arc<MemoCache>,
-    /// Set via [`Campaign::set_memo_harvest`] when this campaign feeds a
-    /// persistent warm store: the cost gate then keeps probing locked on
-    /// (shared by clones, like the memo itself).
-    memo_harvest: Arc<AtomicBool>,
     /// Runtime observability ([`sofi_telemetry::Registry`]): phase spans,
     /// per-experiment histograms and executor counters. Disabled (all
     /// no-ops) unless [`CampaignConfig::telemetry`] is set or an enabled
@@ -375,9 +338,6 @@ impl WorkerTel {
             .counter(names::GATE_SHARDS_OFF)
             .add(stats.gate_shards_off);
         self.registry
-            .counter(names::STORE_HITS)
-            .add(stats.store_hits);
-        self.registry
             .counter(names::BLOCK_CYCLES)
             .add(blocks.block_cycles);
         self.registry
@@ -435,29 +395,15 @@ impl MemoGate {
     /// Builds the shard's gate. `golden_cycles` and `warm_cache` feed
     /// the a-priori cut: a cold-cache campaign over a program shorter
     /// than [`GATE_MIN_GOLDEN_CYCLES`] disables probing outright (a
-    /// warm cache — preloaded store entries or an earlier domain's
-    /// trajectories — can hit at the injection point, which pays at any
-    /// program length, so it always gets a measured trial). With
-    /// `harvest` set ([`Campaign::set_memo_harvest`]) probing is locked
-    /// on and never reviewed: the campaign's probes also produce the
-    /// outcome facts a persistent warm store amortizes across future
-    /// submissions, so "does probing pay within this one campaign" is
-    /// the wrong question to ask.
-    fn new(
-        memoize: bool,
-        adaptive: bool,
-        golden_cycles: u64,
-        warm_cache: bool,
-        harvest: bool,
-    ) -> MemoGate {
-        let a_priori_off = memoize
-            && adaptive
-            && !harvest
-            && !warm_cache
-            && golden_cycles < GATE_MIN_GOLDEN_CYCLES;
+    /// warm cache — an earlier shard's or domain's trajectories — can
+    /// hit at the injection point, which pays at any program length, so
+    /// it always gets a measured trial).
+    fn new(memoize: bool, adaptive: bool, golden_cycles: u64, warm_cache: bool) -> MemoGate {
+        let a_priori_off =
+            memoize && adaptive && !warm_cache && golden_cycles < GATE_MIN_GOLDEN_CYCLES;
         MemoGate {
             probing: memoize && !a_priori_off,
-            deciding: memoize && adaptive && !harvest && !a_priori_off,
+            deciding: memoize && adaptive && !a_priori_off,
             probes: 0,
             sampled_probe_ns: 0,
             sampled_probes: 0,
@@ -636,8 +582,6 @@ impl Campaign {
         let span = telemetry.span(names::SPAN_DEFUSE_NS);
         let analysis = DefUseAnalysis::from_golden(&golden);
         let plan = analysis.plan();
-        let reg_analysis = DefUseAnalysis::from_timelines(&golden.reg_timelines(), golden.cycles);
-        let reg_plan = reg_analysis.plan();
         span.finish();
         Ok(Campaign {
             program: program.clone(),
@@ -645,15 +589,13 @@ impl Campaign {
             golden,
             analysis,
             plan,
-            reg_analysis,
-            reg_plan,
+            reg: OnceLock::new(),
             cf_skip: OnceLock::new(),
             cf_opcode: OnceLock::new(),
             cf_branch: OnceLock::new(),
             config,
             checkpoints: OnceLock::new(),
             memo: Arc::new(MemoCache::default()),
-            memo_harvest: Arc::new(AtomicBool::new(false)),
             telemetry,
         })
     }
@@ -683,22 +625,31 @@ impl Campaign {
     /// `Δt cycles × 480 register bits`, with accesses recorded exactly as
     /// the datapath performs them).
     pub fn register_analysis(&self) -> &DefUseAnalysis {
-        &self.reg_analysis
+        &self.lazy_pair(FaultDomain::RegisterFile).0
     }
 
     /// The pruned injection plan for the register-file domain.
     pub fn register_plan(&self) -> &InjectionPlan {
-        &self.reg_plan
+        &self.lazy_pair(FaultDomain::RegisterFile).1
     }
 
-    /// The lazily built (analysis, plan) pair of a control-flow domain.
-    fn cf_pair(&self, domain: FaultDomain) -> &(DefUseAnalysis, InjectionPlan) {
+    /// The lazily built (analysis, plan) pair of every domain but memory.
+    /// The register file's def/use analysis is timed into the same
+    /// def/use span as the memory plan built at construction.
+    fn lazy_pair(&self, domain: FaultDomain) -> &(DefUseAnalysis, InjectionPlan) {
         let build = |analysis: DefUseAnalysis| {
             let plan = analysis.plan();
             (analysis, plan)
         };
         let rom_len = self.program.insts.len();
         match domain {
+            FaultDomain::RegisterFile => self.reg.get_or_init(|| {
+                let _span = self.telemetry.span(names::SPAN_DEFUSE_NS);
+                build(DefUseAnalysis::from_timelines(
+                    &self.golden.reg_timelines(),
+                    self.golden.cycles,
+                ))
+            }),
             FaultDomain::InstrSkip => self
                 .cf_skip
                 .get_or_init(|| build(sofi_space::instr_skip_analysis(&self.golden, rom_len))),
@@ -708,20 +659,17 @@ impl Campaign {
             FaultDomain::BranchInvert => self
                 .cf_branch
                 .get_or_init(|| build(sofi_space::branch_invert_analysis(&self.golden))),
-            FaultDomain::Memory | FaultDomain::RegisterFile => {
-                unreachable!("cf_pair called for a data fault domain")
-            }
+            FaultDomain::Memory => unreachable!("the memory plan is built eagerly"),
         }
     }
 
     /// The equivalence analysis for `domain` (def/use for the data
-    /// domains, trace-based for the control-flow domains; the latter are
-    /// built lazily on first use).
+    /// domains, trace-based for the control-flow domains; all but the
+    /// memory analysis are built lazily on first use).
     pub fn analysis_for(&self, domain: FaultDomain) -> &DefUseAnalysis {
         match domain {
             FaultDomain::Memory => &self.analysis,
-            FaultDomain::RegisterFile => &self.reg_analysis,
-            _ => &self.cf_pair(domain).0,
+            _ => &self.lazy_pair(domain).0,
         }
     }
 
@@ -731,8 +679,7 @@ impl Campaign {
     pub fn plan_for(&self, domain: FaultDomain) -> &InjectionPlan {
         match domain {
             FaultDomain::Memory => &self.plan,
-            FaultDomain::RegisterFile => &self.reg_plan,
-            _ => &self.cf_pair(domain).1,
+            _ => &self.lazy_pair(domain).1,
         }
     }
 
@@ -761,13 +708,13 @@ impl Campaign {
     /// (§VI-B). Coordinates are `(cycle, (reg − 1)·32 + bit)` over
     /// `r1..r15`.
     pub fn run_full_defuse_registers(&self) -> CampaignResult {
-        self.run_plan_in(FaultDomain::RegisterFile, &self.reg_plan)
+        self.run_plan_in(FaultDomain::RegisterFile, self.register_plan())
     }
 
     /// Brute-force scan of the register file (tiny programs only; used to
     /// validate register-domain pruning).
     pub fn run_brute_force_registers(&self) -> CampaignResult {
-        let plan = InjectionPlan::full_scan(self.reg_analysis.space);
+        let plan = InjectionPlan::full_scan(self.register_analysis().space);
         self.run_plan_in(FaultDomain::RegisterFile, &plan)
     }
 
@@ -850,7 +797,7 @@ impl Campaign {
     /// [`Campaign::run_full_defuse_registers`] plus executor
     /// instrumentation.
     pub fn run_full_defuse_registers_stats(&self) -> (CampaignResult, ExecutorStats) {
-        self.run_plan_stats(FaultDomain::RegisterFile, &self.reg_plan)
+        self.run_plan_stats(FaultDomain::RegisterFile, self.register_plan())
     }
 
     /// Executes a list of memory-domain experiments (any order) and
@@ -912,10 +859,17 @@ impl Campaign {
                 &[]
             };
         if threads <= 1 {
+            // Start from the checkpoint nearest the first injection, not
+            // from cycle 0: every daemon or worker shard of a plan's tail
+            // would otherwise re-simulate the whole golden prefix.
+            let start = experiments.first().map_or_else(
+                || self.fresh_machine(),
+                |e| self.machine_at(checkpoints, e.coord.pre_injection_cycle()),
+            );
             let tel = WorkerTel::new(&self.telemetry);
             return self.run_worker(
                 domain,
-                self.fresh_machine(),
+                start,
                 experiments.iter().copied(),
                 checkpoints,
                 &tel,
@@ -1038,67 +992,8 @@ impl Campaign {
             MemoEntry {
                 outcome: Outcome::NoEffect,
                 final_cycle: self.golden.cycles,
-                origin: MemoOrigin::Seed,
             },
         );
-    }
-
-    /// Marks this campaign as feeding a persistent warm store: the cost
-    /// gate keeps memo probing locked on for every shard, short golden
-    /// runs included, because the probes' outcome facts are exported
-    /// ([`Campaign::export_memo`]) and amortized across future
-    /// submissions over the same context — even when probing cannot pay
-    /// for itself within this single campaign. No-op when
-    /// [`CampaignConfig::memoization`] is off.
-    pub fn set_memo_harvest(&self) {
-        self.memo_harvest.store(true, Ordering::Relaxed);
-    }
-
-    /// Exports the fault-equivalence facts *this campaign's runs*
-    /// established: every [`MemoOrigin::Fresh`] entry, sorted by
-    /// `(cycle, digest)` for deterministic output. Pre-seeded checkpoint
-    /// states and entries preloaded via [`Campaign::preload_memo`] are
-    /// excluded — the former are recomputed per campaign, the latter are
-    /// already persisted wherever they came from.
-    pub fn export_memo(&self) -> Vec<MemoRecord> {
-        let map = self.memo.entries.lock().unwrap();
-        let mut out: Vec<MemoRecord> = map
-            .iter()
-            .filter(|(_, e)| e.origin == MemoOrigin::Fresh)
-            .map(|(&(cycle, digest), e)| MemoRecord {
-                cycle,
-                digest,
-                outcome: e.outcome,
-                final_cycle: e.final_cycle,
-            })
-            .collect();
-        drop(map);
-        out.sort_by_key(|r| (r.cycle, r.digest.to_bits()));
-        out
-    }
-
-    /// Preloads externally persisted fault-equivalence facts (from the
-    /// `sofi-serve` warm store, or a previous campaign's
-    /// [`Campaign::export_memo`]) into the memo. Existing entries win;
-    /// preloaded entries are tagged [`MemoOrigin::Store`] so hits on
-    /// them are counted separately ([`ExecutorStats::store_hits`]) and
-    /// they are not re-exported. No-op when memoization is off.
-    ///
-    /// Soundness is the caller's contract: records must come from a
-    /// campaign over the same program, event schedule, cycle budget and
-    /// serial limit (the daemon keys its store by exactly that context).
-    pub fn preload_memo(&self, records: &[MemoRecord]) {
-        if !self.config.memoization || records.is_empty() {
-            return;
-        }
-        let mut map = self.memo.entries.lock().unwrap();
-        for r in records {
-            map.entry((r.cycle, r.digest)).or_insert(MemoEntry {
-                outcome: r.outcome,
-                final_cycle: r.final_cycle,
-                origin: MemoOrigin::Store,
-            });
-        }
     }
 
     /// Clears the fault-equivalence memo (re-seeding the pristine
@@ -1215,17 +1110,16 @@ impl Campaign {
         let mut out = Vec::new();
         let mut block_totals = BlockStats::default();
         // A cache holding more than the per-checkpoint seeds is warm —
-        // preloaded from the daemon's store or populated by an earlier
-        // domain's runs over this shared campaign — and exempt from the
-        // gate's a-priori short-program cut (injection-point hits pay at
-        // any program length).
+        // populated by an earlier shard's or domain's runs over this
+        // shared campaign — and exempt from the gate's a-priori
+        // short-program cut (injection-point hits pay at any program
+        // length).
         let warm_cache = self.memo.len() > checkpoints.len();
         let mut gate = MemoGate::new(
             self.config.memoization,
             self.config.memo_gate,
             self.golden.cycles,
             warm_cache,
-            self.memo_harvest.load(Ordering::Relaxed),
         );
         // The worker's start machine always comes from a checkpoint
         // restore (or a fresh machine), so the first advance is a
@@ -1351,9 +1245,6 @@ impl Campaign {
             let (key, hit) = gate.probe(tel, &self.memo, m);
             if let Some(hit) = hit {
                 stats.memo_hits += 1;
-                if hit.origin == MemoOrigin::Store {
-                    stats.store_hits += 1;
-                }
                 stats.memoized_cycles_saved += hit.final_cycle.saturating_sub(m.cycle());
                 tel.faulted_run_cycles.record(0);
                 return hit.outcome;
@@ -1377,7 +1268,6 @@ impl Campaign {
                         MemoEntry {
                             outcome,
                             final_cycle: m.cycle(),
-                            origin: MemoOrigin::Fresh,
                         },
                     );
                     return outcome;
@@ -1393,16 +1283,12 @@ impl Campaign {
                         stats.faulted_cycles += m.cycle() - start_cycle;
                         tel.faulted_run_cycles.record(m.cycle() - start_cycle);
                         stats.memo_hits += 1;
-                        if hit.origin == MemoOrigin::Store {
-                            stats.store_hits += 1;
-                        }
                         stats.memoized_cycles_saved += hit.final_cycle.saturating_sub(m.cycle());
                         self.memo.insert_all(
                             &waypoints,
                             MemoEntry {
                                 outcome: hit.outcome,
                                 final_cycle: hit.final_cycle,
-                                origin: MemoOrigin::Fresh,
                             },
                         );
                         return hit.outcome;
@@ -1428,7 +1314,6 @@ impl Campaign {
                         MemoEntry {
                             outcome,
                             final_cycle: self.golden.cycles,
-                            origin: MemoOrigin::Fresh,
                         },
                     );
                     return outcome;
@@ -1444,7 +1329,6 @@ impl Campaign {
             MemoEntry {
                 outcome,
                 final_cycle: m.cycle(),
-                origin: MemoOrigin::Fresh,
             },
         );
         outcome
@@ -1996,6 +1880,53 @@ mod tests {
             stats.pristine_cycles,
             from_zero_cost
         );
+    }
+
+    #[test]
+    fn sequential_shards_start_from_the_nearest_checkpoint() {
+        // The serve daemon and its workers run a plan as 32-experiment
+        // shards on one thread each. A shard must restore the checkpoint
+        // nearest its first injection instead of re-simulating the golden
+        // prefix from cycle 0, and the shards must reproduce the
+        // whole-plan run bit for bit.
+        let p = sofi_workloads::fib(sofi_workloads::Variant::Baseline);
+        let config = CampaignConfig {
+            telemetry: true,
+            ..CampaignConfig::sequential()
+        };
+        let whole = Campaign::with_config(&p, config).unwrap();
+        let plan = whole.plan().experiments.clone();
+        let (expected, _) = whole.run_experiments_stats(FaultDomain::Memory, &plan);
+        let expected: HashMap<u32, ExperimentResult> =
+            expected.into_iter().map(|r| (r.experiment.id, r)).collect();
+
+        // The plan's first shard and one from its middle, whose first
+        // injection lies past several checkpoints.
+        let chunks: Vec<&[Experiment]> = plan.chunks(32).collect();
+        let shards = [chunks[0], chunks[chunks.len() / 2]];
+        assert_eq!(shards[1].len(), 32, "fib's plan has full shards");
+        for (i, shard) in shards.iter().enumerate() {
+            // A fresh campaign per shard, as a daemon job or worker has.
+            let c = Campaign::with_config(&p, config).unwrap();
+            let (results, _) = c.run_experiments_stats(FaultDomain::Memory, shard);
+            assert_eq!(results.len(), shard.len());
+            for r in &results {
+                assert_eq!(r, &expected[&r.experiment.id]);
+            }
+            if i == 1 {
+                let first = shard[0].coord.pre_injection_cycle();
+                let snap = c.telemetry().snapshot();
+                let restore = snap
+                    .histogram(names::RESTORE_DISTANCE_CYCLES)
+                    .expect("restore distances recorded");
+                assert!(
+                    restore.count >= 1 && restore.max < first,
+                    "second shard restored {} cycles before its first \
+                     injection at {first}: it replayed from cycle 0",
+                    restore.max
+                );
+            }
+        }
     }
 
     #[test]

@@ -61,7 +61,7 @@ mod sampling;
 
 pub use burst::BurstSampledResult;
 pub use config::CampaignConfig;
-pub use executor::{Campaign, ExecutorStats, MemoRecord};
+pub use executor::{Campaign, ExecutorStats};
 pub use outcome::{Outcome, OutcomeClass, ABORT_CODE};
 pub use result::{CampaignResult, ExperimentResult, FaultDomain, ParseDomainError};
 pub use sampling::{SampledOutcome, SampledResult, SamplingMode};

@@ -711,9 +711,15 @@ fn cmd_submit(args: &[String]) -> Result<String, CliError> {
     );
     let _ = writeln!(
         out,
-        "memoization : {:.0}% hits ({:.0}% from warm store), gate on for {}/{} shards",
-        stats.memo_hit_rate() * 100.0,
+        "warm store  : {}/{} experiments answered without simulation ({:.0}%)",
+        stats.store_hits,
+        stats.experiments,
         stats.store_hit_rate() * 100.0,
+    );
+    let _ = writeln!(
+        out,
+        "memoization : {:.0}% hits, gate on for {}/{} shards",
+        stats.memo_hit_rate() * 100.0,
         stats.gate_shards_on,
         stats.gate_shards_on + stats.gate_shards_off,
     );

@@ -6,7 +6,7 @@ use crate::coordinator::LeaseOffer;
 use crate::job::{JobSpec, JobStatus, WorkerStatus};
 use crate::protocol::{write_message, FrameReader, Message, ProtocolError, UploadOutcome};
 use crate::server::Conn;
-use sofi_campaign::{CampaignResult, ExecutorStats, ExperimentResult, MemoRecord};
+use sofi_campaign::{CampaignResult, ExecutorStats, ExperimentResult};
 use sofi_telemetry::Snapshot;
 use std::fmt;
 use std::io;
@@ -307,13 +307,12 @@ impl Client {
         }
     }
 
-    /// Streams one executed shard's outcomes (plus its executor stats
-    /// and harvested memo facts) back to the coordinator.
+    /// Streams one executed shard's outcomes (plus its executor stats)
+    /// back to the coordinator.
     ///
     /// # Errors
     ///
     /// Propagates transport failures.
-    #[allow(clippy::too_many_arguments)]
     pub fn upload(
         &mut self,
         worker: u64,
@@ -322,7 +321,6 @@ impl Client {
         shard: u32,
         results: Vec<ExperimentResult>,
         stats: ExecutorStats,
-        memo: Vec<MemoRecord>,
     ) -> Result<UploadOutcome, ClientError> {
         match self.roundtrip(&Message::PartialUpload {
             worker,
@@ -331,7 +329,6 @@ impl Client {
             shard,
             results,
             stats,
-            memo,
         })? {
             Message::UploadAck { outcome } => Ok(outcome),
             Message::Error { message } => Err(ClientError::Server(message)),

@@ -38,16 +38,14 @@ use crate::job::{JobSpec, JobState, JobStatus, WorkerStatus};
 use crate::journal::{self, Journal, Record};
 use crate::protocol::UploadOutcome;
 use crate::store::{self, WarmStore};
-use sofi_campaign::{
-    resume, Campaign, CampaignResult, ExecutorStats, ExperimentResult, MemoRecord,
-};
+use sofi_campaign::{resume, Campaign, CampaignResult, ExecutorStats, ExperimentResult};
 use sofi_isa::assemble_text;
 use sofi_space::Experiment;
 use sofi_telemetry::{names, Registry, Snapshot};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -82,7 +80,7 @@ pub struct ServeConfig {
     pub crash_after_commits: Option<u64>,
     /// Path of the persistent cross-campaign warm store
     /// ([`crate::store::WarmStore`]); `None` (the default) disables the
-    /// store entirely — jobs neither preload nor persist memo facts.
+    /// store entirely — jobs neither look up nor persist outcomes.
     pub warm_store: Option<PathBuf>,
 }
 
@@ -706,7 +704,6 @@ impl Coordinator {
     /// already committed; `StaleLease` rejects uploads whose lease
     /// expired, was re-granted, or whose contents do not match the
     /// shard.
-    #[allow(clippy::too_many_arguments)]
     pub fn upload(
         &self,
         worker: u64,
@@ -715,15 +712,11 @@ impl Coordinator {
         shard: u32,
         results: Vec<ExperimentResult>,
         stats: &ExecutorStats,
-        memo: &[MemoRecord],
     ) -> UploadOutcome {
         let outcome = commit_shard(&self.inner, worker, lease, job, shard, results, stats);
         match outcome {
             UploadOutcome::Committed => {
                 self.inner.telemetry.counter(names::SHARDS_UPLOADED).incr();
-                if !memo.is_empty() {
-                    self.persist_remote_memo(job, memo);
-                }
             }
             UploadOutcome::Duplicate => {
                 self.inner
@@ -736,32 +729,6 @@ impl Coordinator {
             }
         }
         outcome
-    }
-
-    /// Feeds memo facts harvested by a remote worker into the warm
-    /// store under the job's context, so the coordinator's store keeps
-    /// answering future submissions bit-identically whether the facts
-    /// came from local or remote execution. Best-effort.
-    fn persist_remote_memo(&self, job: u64, memo: &[MemoRecord]) {
-        let Some(store) = &self.inner.store else {
-            return;
-        };
-        let ctx = {
-            let st = self.inner.state.lock().unwrap();
-            let Some(entry) = st.jobs.get(&job) else {
-                return;
-            };
-            if !entry.spec.warm_store || !entry.spec.config.memoization {
-                return;
-            }
-            store::context_key(&entry.spec.source, entry.spec.domain, &entry.spec.config)
-        };
-        let span = self.inner.telemetry.span(names::STORE_APPEND_NS);
-        let appended = store.lock().unwrap().append(ctx, memo);
-        span.finish();
-        if let Ok(n) = appended {
-            self.inner.telemetry.counter(names::STORE_APPENDS).add(n);
-        }
     }
 
     /// Point-in-time view of every registered worker, sorted by id.
@@ -951,7 +918,7 @@ fn commit_shard(
     results: Vec<ExperimentResult>,
     batch_stats: &ExecutorStats,
 ) -> UploadOutcome {
-    let mut st = inner.state.lock().unwrap();
+    let st = inner.state.lock().unwrap();
     if st.crashed {
         return UploadOutcome::StaleLease;
     }
@@ -982,41 +949,14 @@ fn commit_shard(
             return UploadOutcome::StaleLease;
         }
     }
-    // The crash hook models a kill between two journal commits: the
-    // shard just computed is lost, exactly like a real crash mid-shard.
-    if let Some(limit) = inner.config.crash_after_commits {
-        if st.batch_commits >= limit {
-            st.crashed = true;
-            drop(st);
-            inner.work_cv.notify_all();
-            inner.watch_cv.notify_all();
-            return UploadOutcome::StaleLease;
-        }
-    }
-    if inner
-        .append_timed(
-            &mut st,
-            &Record::Batch {
-                job: job_id,
-                results: results.clone(),
-            },
-        )
-        .is_err()
-    {
-        drop(st);
-        fail_job(inner, job_id, "journal write failed".into());
-        return UploadOutcome::StaleLease;
-    }
-    st.batch_commits += 1;
-    inner.telemetry.counter(names::BATCHES_COMMITTED).incr();
     let n = results.len() as u64;
+    let Some(mut st) = commit_batch(inner, st, job_id, results, batch_stats) else {
+        return UploadOutcome::StaleLease;
+    };
     {
         let CoordState { jobs, workers, .. } = &mut *st;
         let job = jobs.get_mut(&job_id).expect("checked above");
         job.shards[shard_idx as usize].phase = ShardPhase::Committed;
-        job.done += n;
-        job.stats.absorb_batch(batch_stats);
-        job.results.extend(results);
         if from_worker != 0 {
             if let Some(w) = workers.get_mut(&from_worker) {
                 w.last_seen = Instant::now();
@@ -1038,6 +978,53 @@ fn commit_shard(
     UploadOutcome::Committed
 }
 
+/// Journals one batch of `job_id`'s outcomes and merges it into the
+/// job's progress: the commit step shared by executed shards and by
+/// experiments answered from the warm store. Outcomes are journaled
+/// *before* progress advances. Returns the guard on success; `None`
+/// when the crash hook fired or the journal write failed (the job is
+/// then failed), in which case nothing was merged.
+fn commit_batch<'a>(
+    inner: &'a Inner,
+    mut st: MutexGuard<'a, CoordState>,
+    job_id: u64,
+    results: Vec<ExperimentResult>,
+    batch_stats: &ExecutorStats,
+) -> Option<MutexGuard<'a, CoordState>> {
+    // The crash hook models a kill between two journal commits: the
+    // batch just computed is lost, exactly like a real crash mid-shard.
+    if let Some(limit) = inner.config.crash_after_commits {
+        if st.batch_commits >= limit {
+            st.crashed = true;
+            drop(st);
+            inner.work_cv.notify_all();
+            inner.watch_cv.notify_all();
+            return None;
+        }
+    }
+    if inner
+        .append_timed(
+            &mut st,
+            &Record::Batch {
+                job: job_id,
+                results: results.clone(),
+            },
+        )
+        .is_err()
+    {
+        drop(st);
+        fail_job(inner, job_id, "journal write failed".into());
+        return None;
+    }
+    st.batch_commits += 1;
+    inner.telemetry.counter(names::BATCHES_COMMITTED).incr();
+    let job = st.jobs.get_mut(&job_id).expect("committing job exists");
+    job.done += results.len() as u64;
+    job.stats.absorb_batch(batch_stats);
+    job.results.extend(results);
+    Some(st)
+}
+
 fn run_job(inner: &Inner, id: u64, spec: &JobSpec, recovered: &HashSet<u32>, job_tel: Registry) {
     let program = match assemble_text(&spec.name, &spec.source) {
         Ok(p) => p,
@@ -1047,47 +1034,56 @@ fn run_job(inner: &Inner, id: u64, spec: &JobSpec, recovered: &HashSet<u32>, job
         Ok(c) => c,
         Err(e) => return fail_job(inner, id, format!("golden run failed: {e}")),
     };
-    // Warm-store preload: facts persisted by earlier jobs over the same
-    // context answer this job's memo probes without simulation.
-    let warm = spec.warm_store && spec.config.memoization && inner.store.is_some();
-    let ctx = store::context_key(&spec.source, spec.domain, &spec.config);
-    if warm {
-        // This job both consumes and feeds the store: lock probing on
-        // (even where the per-campaign cost gate would cut it) so fresh
-        // facts are harvested for future submissions over this context.
-        campaign.set_memo_harvest();
-        if let Some(store) = &inner.store {
-            let facts = store.lock().unwrap().lookup(ctx);
-            if !facts.is_empty() {
-                campaign.preload_memo(&facts);
-                inner
-                    .telemetry
-                    .counter(names::STORE_PRELOADS)
-                    .add(facts.len() as u64);
-            }
-        }
-    }
     let plan = campaign.plan_for(spec.domain);
     let tail = resume::unfinished(&plan.experiments, recovered);
     inner
         .telemetry
         .counter(names::EXPERIMENTS_RECOVERED)
         .add(resume::recovered_count(&plan.experiments, recovered));
-    {
-        let mut st = inner.state.lock().unwrap();
-        if let Some(job) = st.jobs.get_mut(&id) {
-            job.total = plan.experiments.len() as u64;
-            job.done = recovered.len() as u64;
-            job.shards = resume::shards(&tail, inner.config.batch_size)
-                .into_iter()
-                .map(|experiments| Shard {
-                    experiments,
-                    phase: ShardPhase::Pending,
-                })
-                .collect();
-            job.shards_ready = true;
-        }
+    // Warm-store lookup: outcomes persisted by earlier jobs over the same
+    // context answer their coordinates outright; only the misses are
+    // sharded for simulation.
+    let store = inner.store.as_ref().filter(|_| spec.warm_store);
+    let ctx = store::context_key(&spec.source, spec.domain, &spec.config);
+    let (hits, misses) = match store {
+        Some(store) => store.lock().unwrap().answer(ctx, &tail),
+        None => (Vec::new(), tail),
+    };
+    let mut st = inner.state.lock().unwrap();
+    if st.crashed {
+        return;
     }
+    if let Some(job) = st.jobs.get_mut(&id) {
+        job.total = plan.experiments.len() as u64;
+        job.done = recovered.len() as u64;
+        job.shards = resume::shards(&misses, inner.config.batch_size)
+            .into_iter()
+            .map(|experiments| Shard {
+                experiments,
+                phase: ShardPhase::Pending,
+            })
+            .collect();
+        job.shards_ready = true;
+    }
+    // Every hit is committed as one journal batch, so a restarted
+    // daemon replays the job's store-answered part like any shard.
+    let answered = hits.len() as u64;
+    if answered > 0 {
+        let stats = ExecutorStats {
+            experiments: answered,
+            store_hits: answered,
+            ..ExecutorStats::default()
+        };
+        let Some(guard) = commit_batch(inner, st, id, hits, &stats) else {
+            return;
+        };
+        st = guard;
+        campaign
+            .telemetry()
+            .counter(names::STORE_HITS)
+            .add(answered);
+    }
+    drop(st);
     inner.watch_cv.notify_all();
 
     // The drive loop: claim pending shards for local execution (unless
@@ -1153,7 +1149,32 @@ fn run_job(inner: &Inner, id: u64, spec: &JobSpec, recovered: &HashSet<u32>, job
         commit_shard(inner, 0, lease, id, idx as u32, results, &batch_stats);
     }
 
-    // All shards committed: merge (replayed + fresh + uploaded) into the
+    // All shards committed. Persist every outcome the job now holds —
+    // local and remote shards alike — as one store batch *before* the
+    // result becomes visible, so a client that saw `Done` can re-submit
+    // and be answered from the store. Best-effort: a store write failure
+    // can only cost future speed, never this job's outcome. A job the
+    // store answered in full has nothing new to persist.
+    let results = {
+        let st = inner.state.lock().unwrap();
+        if st.crashed {
+            return;
+        }
+        let Some(job) = st.jobs.get(&id) else {
+            return;
+        };
+        job.results.clone()
+    };
+    if let Some(store) = store.filter(|_| results.len() as u64 > answered) {
+        let span = inner.telemetry.span(names::STORE_APPEND_NS);
+        let appended = store.lock().unwrap().append(ctx, &results);
+        span.finish();
+        if let Ok(n) = appended {
+            inner.telemetry.counter(names::STORE_APPENDS).add(n);
+        }
+    }
+
+    // Merge (replayed + store-answered + fresh + uploaded) into the
     // canonical result — bit-identical to an uninterrupted in-process
     // run, because `assemble_result` orders by experiment id.
     let mut st = inner.state.lock().unwrap();
@@ -1163,9 +1184,8 @@ fn run_job(inner: &Inner, id: u64, spec: &JobSpec, recovered: &HashSet<u32>, job
     let Some(job) = st.jobs.get_mut(&id) else {
         return;
     };
-    let merged = job.results.clone();
     let stats = job.stats;
-    let result = campaign.assemble_result(spec.domain, plan, merged);
+    let result = campaign.assemble_result(spec.domain, plan, results);
     job.outcome = Some((result, stats));
     job.state = JobState::Done;
     job.shards = Vec::new();
@@ -1179,26 +1199,6 @@ fn run_job(inner: &Inner, id: u64, spec: &JobSpec, recovered: &HashSet<u32>, job
     inner.telemetry.counter(names::JOBS_FINISHED).incr();
     drop(st);
     inner.watch_cv.notify_all();
-
-    // Persist the fault-equivalence facts this job's local runs
-    // established, so later jobs over the same context start warm.
-    // (Remote workers' facts arrive incrementally with their uploads.)
-    // Best-effort and after the result is already visible: a store
-    // write failure can only cost future speed, never this job's
-    // outcome.
-    if warm {
-        if let Some(store) = &inner.store {
-            let fresh = campaign.export_memo();
-            if !fresh.is_empty() {
-                let span = inner.telemetry.span(names::STORE_APPEND_NS);
-                let appended = store.lock().unwrap().append(ctx, &fresh);
-                span.finish();
-                if let Ok(n) = appended {
-                    inner.telemetry.counter(names::STORE_APPENDS).add(n);
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1404,17 +1404,17 @@ mod tests {
         let (results, stats) = campaign.run_experiments_stats(spec.domain, &experiments);
 
         assert_eq!(
-            coord.upload(worker, lease, job, shard, results.clone(), &stats, &[]),
+            coord.upload(worker, lease, job, shard, results.clone(), &stats),
             UploadOutcome::Committed
         );
         // Retrying the identical upload must acknowledge, not recommit.
         assert_eq!(
-            coord.upload(worker, lease, job, shard, results.clone(), &stats, &[]),
+            coord.upload(worker, lease, job, shard, results.clone(), &stats),
             UploadOutcome::Duplicate
         );
         // A made-up lease id against a pending/other shard is stale.
         assert_eq!(
-            coord.upload(worker, 0xDEAD_BEEF, job, shard + 1, results, &stats, &[]),
+            coord.upload(worker, 0xDEAD_BEEF, job, shard + 1, results, &stats),
             UploadOutcome::StaleLease
         );
         let ws = coord.workers();
@@ -1438,7 +1438,7 @@ mod tests {
                     let (results, stats) =
                         campaign.run_experiments_stats(spec.domain, &experiments);
                     assert_eq!(
-                        coord.upload(worker, lease, job, shard, results, &stats, &[]),
+                        coord.upload(worker, lease, job, shard, results, &stats),
                         UploadOutcome::Committed
                     );
                 }
@@ -1508,7 +1508,7 @@ mod tests {
         let program = assemble_text(&spec.name, &spec.source).unwrap();
         let campaign = Campaign::with_config(&program, spec.config).unwrap();
         let (results, stats) = campaign.run_experiments_stats(spec.domain, &experiments);
-        let late = coord.upload(worker, lease, job, shard, results, &stats, &[]);
+        let late = coord.upload(worker, lease, job, shard, results, &stats);
         assert!(
             late == UploadOutcome::StaleLease || late == UploadOutcome::Duplicate,
             "late upload after expiry must not double-commit: {late:?}"
@@ -1569,7 +1569,7 @@ mod tests {
         let campaign = Campaign::with_config(&program, spec.config).unwrap();
         let (results, stats) = campaign.run_experiments_stats(spec.domain, &experiments);
         assert_eq!(
-            coord.upload(worker, lease, job, shard, results, &stats, &[]),
+            coord.upload(worker, lease, job, shard, results, &stats),
             UploadOutcome::Committed,
             "heartbeats must have kept the lease alive"
         );

@@ -20,12 +20,12 @@ pub struct JobSpec {
     /// packed via [`CampaignConfig::pack`] on the wire.
     pub config: CampaignConfig,
     /// Consult (and feed) the daemon's persistent cross-campaign warm
-    /// store for this job: memoized outcome facts recorded by earlier
-    /// jobs over the same program/domain/budget context are preloaded
-    /// into the campaign's memo before execution, and fresh facts are
-    /// persisted when the job completes. On by default; `submit --cold`
-    /// clears it for ablation and benchmarking. Ignored when the spec's
-    /// `config.memoization` is off or the daemon runs without a store.
+    /// store for this job: planned experiments whose coordinates earlier
+    /// jobs over the same program/domain/budget context already resolved
+    /// are answered from the store without simulation, and the job's
+    /// outcomes are persisted when it completes. On by default;
+    /// `submit --cold` clears it for ablation and benchmarking. Ignored
+    /// when the daemon runs without a store.
     pub warm_store: bool,
 }
 

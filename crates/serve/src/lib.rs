@@ -21,8 +21,9 @@
 //!   leases, execute, heartbeat, and stream partial results back.
 //! - [`store`] — the persistent cross-campaign warm store
 //!   ([`store::WarmStore`]): an append-only, checksummed file of
-//!   memoized outcome facts keyed by program/domain/budget context,
-//!   preloaded into later campaigns over the same context.
+//!   experiment outcomes keyed by program/domain/budget context and
+//!   fault coordinate, which answers later jobs' planned experiments
+//!   without simulation.
 //! - [`server`] / [`client`] — the TCP/Unix-socket daemon
 //!   ([`server::Server`]) and the CLI-facing client ([`client::Client`]).
 //!

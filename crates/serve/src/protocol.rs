@@ -5,7 +5,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic "SOFI"
-//! 4       2     protocol version (currently 5), little-endian
+//! 4       2     protocol version (currently 7), little-endian
 //! 6       2     message kind, little-endian
 //! 8       4     payload length in bytes, little-endian
 //! 12      4     FNV-1a-32 checksum, little-endian
@@ -25,7 +25,7 @@
 
 use crate::job::{JobSpec, JobStatus, WorkerStatus, WORKER_STATUS_MIN_BYTES};
 use crate::wire::{self, Reader, WireError, Writer};
-use sofi_campaign::{CampaignResult, ExecutorStats, ExperimentResult, MemoRecord};
+use sofi_campaign::{CampaignResult, ExecutorStats, ExperimentResult};
 use sofi_space::Experiment;
 use sofi_telemetry::Snapshot;
 use std::fmt;
@@ -54,8 +54,11 @@ pub const MAGIC: [u8; 4] = *b"SOFI";
 /// (`InstrSkip`/`OpcodeBit`/`BranchInvert`, wire tags 2–4) and the trap
 /// codec with `IllegalOpcode` (tag 5); a v5 peer offered a v6 frame
 /// answers with a typed `BadVersion(5)` instead of misdecoding the new
-/// tags.
-pub const VERSION: u16 = 6;
+/// tags. v7 dropped the trailing memo-fact list from
+/// [`Message::PartialUpload`]: the warm store is keyed by experiment
+/// coordinate and fed from committed results, so workers upload
+/// outcomes only.
+pub const VERSION: u16 = 7;
 /// Frame header size in bytes.
 pub const HEADER_LEN: usize = 16;
 /// Upper bound on payload size (64 MiB) — rejected before allocation.
@@ -241,11 +244,6 @@ pub enum Message {
         results: Vec<ExperimentResult>,
         /// Executor counters for this shard's execution.
         stats: ExecutorStats,
-        /// Fresh fault-equivalence facts the shard's runs established
-        /// (empty when memoization is off) — fed into the coordinator's
-        /// persistent warm store so remote work warms future jobs
-        /// exactly like local work.
-        memo: Vec<MemoRecord>,
     },
     /// Request the worker registry. Answered with
     /// [`Message::WorkerReport`].
@@ -416,7 +414,6 @@ impl Message {
                 shard,
                 results,
                 stats,
-                memo,
             } => {
                 w.u64(*worker);
                 w.u64(*lease);
@@ -427,10 +424,6 @@ impl Message {
                     wire::put_experiment_result(&mut w, r);
                 }
                 wire::put_stats(&mut w, stats);
-                w.u32(memo.len() as u32);
-                for m in memo {
-                    wire::put_memo_record(&mut w, m);
-                }
             }
             Message::Accepted { job } => w.u64(*job),
             Message::Busy { queued, capacity } => {
@@ -530,11 +523,6 @@ impl Message {
                     results.push(wire::take_experiment_result(&mut r)?);
                 }
                 let stats = wire::take_stats(&mut r)?;
-                let m = r.seq_len(wire::MEMO_RECORD_MIN_BYTES)?;
-                let mut memo = Vec::with_capacity(m);
-                for _ in 0..m {
-                    memo.push(wire::take_memo_record(&mut r)?);
-                }
                 Message::PartialUpload {
                     worker,
                     lease,
@@ -542,7 +530,6 @@ impl Message {
                     shard,
                     results,
                     stats,
-                    memo,
                 }
             }
             10 => Message::Workers,
@@ -912,7 +899,6 @@ mod tests {
                     experiments: 1,
                     ..ExecutorStats::default()
                 },
-                memo: vec![sample_memo()],
             },
             Message::Workers,
             Message::Registered {
@@ -980,15 +966,6 @@ mod tests {
                 weight: 4,
             },
             outcome: sofi_campaign::Outcome::NoEffect,
-        }
-    }
-
-    fn sample_memo() -> MemoRecord {
-        MemoRecord {
-            cycle: 17,
-            digest: sofi_machine::StateDigest::from_bits(0xDEAD_BEEF_0123_4567_89AB_CDEF),
-            outcome: sofi_campaign::Outcome::SilentDataCorruption,
-            final_cycle: 99,
         }
     }
 
@@ -1099,7 +1076,7 @@ mod tests {
     fn v5_peer_frames_are_rejected_with_typed_bad_version() {
         // A frame a v5 peer would actually send: identical layout, the
         // version field says 5, and the checksum is *valid* for those
-        // bytes (re-sealed, unlike the corruption cases above). The v6
+        // bytes (re-sealed, unlike the corruption cases above). The current
         // reader must answer `BadVersion(5)` — never reach the payload
         // decoder, which could misread a fault-domain byte that in v5
         // could not carry the control-flow tags 2–4.

@@ -1,13 +1,13 @@
 //! The persistent cross-campaign warm store.
 //!
-//! A daemon-side, append-only file of fault-equivalence outcome facts
-//! ([`sofi_campaign::MemoRecord`]): `(cycle, state digest) → (outcome,
-//! final cycle)` entries exported by completed jobs and preloaded into
-//! later campaigns over the same *context* — program source, fault
-//! domain, and the outcome-relevant configuration (timeout factor,
-//! timeout slack, serial limit). State digests are purely
-//! content-determined, so a fact recorded by one daemon process is valid
-//! in any later one.
+//! A daemon-side, append-only file of experiment outcomes keyed by
+//! `(context, fault coordinate)`. The *context* is the program source,
+//! fault domain, and the outcome-relevant configuration (timeout factor,
+//! timeout slack, serial limit). Def/use plans are deterministic, so the
+//! same context always plans the same coordinates, and a coordinate's
+//! outcome is a pure function of its context: a re-submission is
+//! answered by looking its plan up here, without restoring, injecting or
+//! simulating anything.
 //!
 //! The file format follows the result journal's laws exactly
 //! ([`crate::journal`]): each record is framed as
@@ -24,20 +24,23 @@
 //! tail a crash left behind — so a daemon killed mid-append loses at
 //! most the in-flight batch, never a committed one, and every surviving
 //! record is bit-identical to what was written
-//! (`tests/warm_store.rs`).
+//! (`tests/warm_store.rs`). A checksum-valid record with another tag —
+//! the tag-0 `(cycle, state digest)` memo facts of older daemons — is
+//! kept on disk but not indexed: it is intact data in a format this
+//! build does not read, not a torn tail.
 
 use crate::wire::{self, Reader, WireError, Writer};
-use sofi_campaign::{CampaignConfig, FaultDomain, MemoRecord};
-use sofi_machine::StateDigest;
+use sofi_campaign::{CampaignConfig, ExperimentResult, FaultDomain, Outcome};
+use sofi_space::{Experiment, FaultCoord};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// A 128-bit campaign-context key: everything that must match for a
-/// memoized outcome fact to transfer between jobs. Two independent
+/// stored outcome to transfer between jobs. Two independent
 /// FNV-1a-64 lanes over the same context bytes — not cryptographic, but
-/// 128 bits of separation keeps facts from one program from ever being
+/// 128 bits of separation keeps outcomes of one program from ever being
 /// consulted for another.
 pub type ContextKey = u128;
 
@@ -51,7 +54,7 @@ fn fnv1a64_from(mut state: u64, bytes: &[u8]) -> u64 {
     state
 }
 
-/// Computes the context key under which a job's memo facts are stored
+/// Computes the context key under which a job's outcomes are stored
 /// and looked up: program source text, fault domain, and the three
 /// config fields that determine experiment outcomes (the cycle budget's
 /// `timeout_factor` and `timeout_slack`, and the machine's
@@ -77,67 +80,66 @@ pub fn context_key(source: &str, domain: FaultDomain, config: &CampaignConfig) -
     (u128::from(hi) << 64) | u128::from(lo)
 }
 
-/// One store record: a batch of memo facts for one context, exported by
-/// one completed job.
-fn encode_batch(ctx: ContextKey, records: &[MemoRecord]) -> Vec<u8> {
+/// The record tag of the current format: a batch of `(coordinate,
+/// outcome)` pairs for one context. Tag 0 was the retired
+/// `(cycle, state digest)` memo-fact format.
+const TAG_OUTCOMES: u8 = 1;
+
+/// One store record: the outcomes one completed job added for one
+/// context.
+fn encode_batch(ctx: ContextKey, outcomes: &[(FaultCoord, Outcome)]) -> Vec<u8> {
     let mut w = Writer::new();
-    w.u8(0); // record tag, for future format evolution
+    w.u8(TAG_OUTCOMES);
     w.u64((ctx >> 64) as u64);
     w.u64(ctx as u64);
-    w.u32(records.len() as u32);
-    for r in records {
-        w.u64(r.cycle);
-        let bits = r.digest.to_bits();
-        w.u64((bits >> 64) as u64);
-        w.u64(bits as u64);
-        wire::put_outcome(&mut w, r.outcome);
-        w.u64(r.final_cycle);
+    w.u32(outcomes.len() as u32);
+    for (coord, outcome) in outcomes {
+        w.u64(coord.cycle);
+        w.u64(coord.bit);
+        wire::put_outcome(&mut w, *outcome);
     }
     w.finish()
 }
 
-/// Minimum encoded size of one memo fact (outcome tag is ≥ 1 byte).
-const MEMO_RECORD_MIN_BYTES: usize = 8 + 16 + 1 + 8;
+/// Minimum encoded size of one stored outcome (outcome tag is ≥ 1 byte).
+const OUTCOME_MIN_BYTES: usize = 8 + 8 + 1;
 
-fn decode_batch(payload: &[u8]) -> Result<(ContextKey, Vec<MemoRecord>), WireError> {
+/// One decoded record: a context and the outcomes it added.
+type Batch = (ContextKey, Vec<(FaultCoord, Outcome)>);
+
+/// Decodes one record payload; `Ok(None)` for a checksum-valid record
+/// of another format (skipped, not truncated).
+fn decode_batch(payload: &[u8]) -> Result<Option<Batch>, WireError> {
     let mut r = Reader::new(payload);
-    match r.u8()? {
-        0 => {}
-        t => return Err(r.err(format!("bad warm-store record tag {t}"))),
+    if r.u8()? != TAG_OUTCOMES {
+        return Ok(None);
     }
     let hi = r.u64()?;
     let lo = r.u64()?;
     let ctx = (u128::from(hi) << 64) | u128::from(lo);
-    let n = r.seq_len(MEMO_RECORD_MIN_BYTES)?;
-    let mut records = Vec::with_capacity(n);
+    let n = r.seq_len(OUTCOME_MIN_BYTES)?;
+    let mut outcomes = Vec::with_capacity(n);
     for _ in 0..n {
-        let cycle = r.u64()?;
-        let d_hi = r.u64()?;
-        let d_lo = r.u64()?;
-        let digest = StateDigest::from_bits((u128::from(d_hi) << 64) | u128::from(d_lo));
-        let outcome = wire::take_outcome(&mut r)?;
-        let final_cycle = r.u64()?;
-        records.push(MemoRecord {
-            cycle,
-            digest,
-            outcome,
-            final_cycle,
-        });
+        let coord = FaultCoord {
+            cycle: r.u64()?,
+            bit: r.u64()?,
+        };
+        outcomes.push((coord, wire::take_outcome(&mut r)?));
     }
     r.expect_end()?;
-    Ok((ctx, records))
+    Ok(Some((ctx, outcomes)))
 }
 
 /// An open warm store positioned at the end of its valid prefix, with
-/// the full fact index in memory.
+/// the full outcome index in memory.
 #[derive(Debug)]
 pub struct WarmStore {
     file: File,
     path: PathBuf,
-    /// `context → (cycle, digest bits) → fact`. The inner map both
-    /// deduplicates appends (a fact persisted once is never rewritten)
-    /// and serves lookups.
-    index: HashMap<ContextKey, HashMap<(u64, u128), MemoRecord>>,
+    /// `context → coordinate → outcome`. The inner map both
+    /// deduplicates appends (an outcome persisted once is never
+    /// rewritten) and serves lookups.
+    index: HashMap<ContextKey, HashMap<FaultCoord, Outcome>>,
 }
 
 impl WarmStore {
@@ -159,15 +161,15 @@ impl WarmStore {
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes)?;
         let (batches, valid_len) = replay(&bytes);
-        if valid_len as u64 != bytes.len() as u64 {
+        if valid_len != bytes.len() {
             file.set_len(valid_len as u64)?;
         }
         file.seek(SeekFrom::Start(valid_len as u64))?;
-        let mut index: HashMap<ContextKey, HashMap<(u64, u128), MemoRecord>> = HashMap::new();
-        for (ctx, records) in batches {
-            let facts = index.entry(ctx).or_default();
-            for r in records {
-                facts.entry((r.cycle, r.digest.to_bits())).or_insert(r);
+        let mut index: HashMap<ContextKey, HashMap<FaultCoord, Outcome>> = HashMap::new();
+        for (ctx, outcomes) in batches {
+            let known = index.entry(ctx).or_default();
+            for (coord, outcome) in outcomes {
+                known.entry(coord).or_insert(outcome);
             }
         }
         Ok(WarmStore {
@@ -177,33 +179,46 @@ impl WarmStore {
         })
     }
 
-    /// Every persisted fact for `ctx`, sorted by `(cycle, digest)` —
-    /// ready for [`sofi_campaign::Campaign::preload_memo`]. Empty for an
-    /// unknown context.
-    pub fn lookup(&self, ctx: ContextKey) -> Vec<MemoRecord> {
-        let Some(facts) = self.index.get(&ctx) else {
-            return Vec::new();
+    /// Splits `experiments` into the ones whose outcome `ctx` already
+    /// holds — returned as results, in input order — and the misses,
+    /// which still need simulating.
+    pub fn answer(
+        &self,
+        ctx: ContextKey,
+        experiments: &[Experiment],
+    ) -> (Vec<ExperimentResult>, Vec<Experiment>) {
+        let Some(known) = self.index.get(&ctx) else {
+            return (Vec::new(), experiments.to_vec());
         };
-        let mut out: Vec<MemoRecord> = facts.values().copied().collect();
-        out.sort_by_key(|r| (r.cycle, r.digest.to_bits()));
-        out
+        let mut hits = Vec::new();
+        let mut misses = Vec::new();
+        for &e in experiments {
+            match known.get(&e.coord) {
+                Some(&outcome) => hits.push(ExperimentResult {
+                    experiment: e,
+                    outcome,
+                }),
+                None => misses.push(e),
+            }
+        }
+        (hits, misses)
     }
 
-    /// Appends the not-yet-persisted subset of `records` for `ctx` as
-    /// one checksummed, `fsync`ed batch, and indexes it. Returns how
-    /// many facts were actually appended (0 — with no write at all —
-    /// when every record was already persisted).
+    /// Appends the outcomes of `results` not yet persisted for `ctx` as
+    /// one checksummed, `fsync`ed batch, and indexes them. Returns how
+    /// many outcomes were actually appended (0 — with no write at all —
+    /// when every coordinate was already persisted).
     ///
     /// # Errors
     ///
     /// Propagates I/O failures; on error the batch must be considered
     /// uncommitted (the index is only updated after a successful sync).
-    pub fn append(&mut self, ctx: ContextKey, records: &[MemoRecord]) -> io::Result<u64> {
+    pub fn append(&mut self, ctx: ContextKey, results: &[ExperimentResult]) -> io::Result<u64> {
         let known = self.index.entry(ctx).or_default();
-        let fresh: Vec<MemoRecord> = records
+        let fresh: Vec<(FaultCoord, Outcome)> = results
             .iter()
-            .filter(|r| !known.contains_key(&(r.cycle, r.digest.to_bits())))
-            .copied()
+            .filter(|r| !known.contains_key(&r.experiment.coord))
+            .map(|r| (r.experiment.coord, r.outcome))
             .collect();
         if fresh.is_empty() {
             return Ok(0);
@@ -216,23 +231,21 @@ impl WarmStore {
         self.file.write_all(&framed)?;
         self.file.sync_data()?;
         let known = self.index.entry(ctx).or_default();
-        for r in &fresh {
-            known.insert((r.cycle, r.digest.to_bits()), *r);
-        }
+        known.extend(fresh.iter().copied());
         Ok(fresh.len() as u64)
     }
 
-    /// Total facts indexed across all contexts.
+    /// Total outcomes indexed across all contexts.
     pub fn len(&self) -> usize {
         self.index.values().map(HashMap::len).sum()
     }
 
-    /// `true` when the store holds no facts.
+    /// `true` when the store holds no outcomes.
     pub fn is_empty(&self) -> bool {
         self.index.values().all(HashMap::is_empty)
     }
 
-    /// Distinct contexts with at least one fact.
+    /// Distinct contexts with at least one outcome.
     pub fn contexts(&self) -> usize {
         self.index.values().filter(|f| !f.is_empty()).count()
     }
@@ -243,10 +256,11 @@ impl WarmStore {
     }
 }
 
-/// Decodes the valid batch prefix of `bytes`, returning the batches and
+/// Decodes the valid record prefix of `bytes`, returning the batches and
 /// the byte length of the prefix. Stops — without error — at the first
-/// truncated frame, checksum mismatch, or undecodable payload.
-fn replay(bytes: &[u8]) -> (Vec<(ContextKey, Vec<MemoRecord>)>, usize) {
+/// truncated frame, checksum mismatch, or undecodable current-format
+/// payload; skips checksum-valid records of other formats.
+fn replay(bytes: &[u8]) -> (Vec<Batch>, usize) {
     let mut batches = Vec::new();
     let mut pos = 0;
     while let Some(header) = bytes.get(pos..pos + 8) {
@@ -258,10 +272,11 @@ fn replay(bytes: &[u8]) -> (Vec<(ContextKey, Vec<MemoRecord>)>, usize) {
         if wire::fnv1a32(payload) != crc {
             break;
         }
-        let Ok(batch) = decode_batch(payload) else {
-            break;
-        };
-        batches.push(batch);
+        match decode_batch(payload) {
+            Ok(Some(batch)) => batches.push(batch),
+            Ok(None) => {}
+            Err(_) => break,
+        }
         pos += 8 + len;
     }
     (batches, pos)
@@ -270,8 +285,6 @@ fn replay(bytes: &[u8]) -> (Vec<(ContextKey, Vec<MemoRecord>)>, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sofi_campaign::Outcome;
-    use sofi_machine::StateDigest;
 
     fn temp_path(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("sofi-store-tests");
@@ -281,12 +294,14 @@ mod tests {
         path
     }
 
-    fn fact(cycle: u64, digest: u128, outcome: Outcome) -> MemoRecord {
-        MemoRecord {
-            cycle,
-            digest: StateDigest::from_bits(digest),
+    fn result(id: u32, cycle: u64, bit: u64, outcome: Outcome) -> ExperimentResult {
+        ExperimentResult {
+            experiment: Experiment {
+                id,
+                coord: FaultCoord { cycle, bit },
+                weight: 1,
+            },
             outcome,
-            final_cycle: cycle + 100,
         }
     }
 
@@ -296,24 +311,29 @@ mod tests {
         let ctx_a = 0x1111_u128;
         let ctx_b = 0x2222_u128;
         let a = vec![
-            fact(5, 0xAAAA, Outcome::NoEffect),
-            fact(9, 0xBBBB, Outcome::SilentDataCorruption),
+            result(0, 5, 3, Outcome::NoEffect),
+            result(1, 9, 0, Outcome::SilentDataCorruption),
         ];
-        let b = vec![fact(3, 0xCCCC, Outcome::Timeout)];
+        let b = vec![result(0, 3, 7, Outcome::Timeout)];
         {
             let mut store = WarmStore::open(&path).unwrap();
             assert!(store.is_empty());
             assert_eq!(store.append(ctx_a, &a).unwrap(), 2);
             assert_eq!(store.append(ctx_b, &b).unwrap(), 1);
-            // Re-appending already-persisted facts writes nothing.
+            // Re-appending already-persisted coordinates writes nothing.
             assert_eq!(store.append(ctx_a, &a).unwrap(), 0);
         }
         let store = WarmStore::open(&path).unwrap();
         assert_eq!(store.len(), 3);
         assert_eq!(store.contexts(), 2);
-        assert_eq!(store.lookup(ctx_a), a);
-        assert_eq!(store.lookup(ctx_b), b);
-        assert!(store.lookup(0x3333).is_empty());
+        let plan: Vec<Experiment> = a.iter().map(|r| r.experiment).collect();
+        assert_eq!(store.answer(ctx_a, &plan), (a.clone(), Vec::new()));
+        // Another context with the same coordinates answers nothing.
+        assert_eq!(store.answer(0x3333, &plan), (Vec::new(), plan.clone()));
+        // A context holding some coordinates splits the plan.
+        let (hits, misses) = store.answer(ctx_b, &[plan[0], b[0].experiment]);
+        assert_eq!(hits, b);
+        assert_eq!(misses, vec![plan[0]]);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -324,10 +344,10 @@ mod tests {
         {
             let mut store = WarmStore::open(&path).unwrap();
             store
-                .append(ctx, &[fact(1, 0x11, Outcome::NoEffect)])
+                .append(ctx, &[result(0, 1, 0, Outcome::NoEffect)])
                 .unwrap();
             store
-                .append(ctx, &[fact(2, 0x22, Outcome::DetectedCorrected)])
+                .append(ctx, &[result(1, 2, 0, Outcome::DetectedCorrected)])
                 .unwrap();
         }
         let full = std::fs::read(&path).unwrap();
@@ -337,10 +357,10 @@ mod tests {
         std::fs::write(&path, &torn).unwrap();
 
         let mut store = WarmStore::open(&path).unwrap();
-        assert_eq!(store.len(), 2, "torn tail must not hide committed facts");
+        assert_eq!(store.len(), 2, "torn tail must not hide committed outcomes");
         assert_eq!(std::fs::metadata(&path).unwrap().len(), full.len() as u64);
         store
-            .append(ctx, &[fact(3, 0x33, Outcome::Timeout)])
+            .append(ctx, &[result(2, 3, 0, Outcome::Timeout)])
             .unwrap();
         drop(store);
         let store = WarmStore::open(&path).unwrap();
@@ -355,10 +375,10 @@ mod tests {
         {
             let mut store = WarmStore::open(&path).unwrap();
             store
-                .append(ctx, &[fact(1, 0x11, Outcome::NoEffect)])
+                .append(ctx, &[result(0, 1, 0, Outcome::NoEffect)])
                 .unwrap();
             store
-                .append(ctx, &[fact(2, 0x22, Outcome::NoEffect)])
+                .append(ctx, &[result(1, 2, 0, Outcome::NoEffect)])
                 .unwrap();
         }
         let mut bytes = std::fs::read(&path).unwrap();
@@ -370,6 +390,49 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         let store = WarmStore::open(&path).unwrap();
         assert_eq!(store.len(), 1, "corruption must cut the history there");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A store written by an older daemon holds tag-0 `(cycle, state
+    /// digest)` memo facts. Opening it must neither index them nor treat
+    /// them as a torn tail: the file keeps every byte, and new batches
+    /// append after them.
+    #[test]
+    fn legacy_tag0_records_are_skipped_not_truncated() {
+        let path = temp_path("legacy");
+        // The retired layout: tag 0, context, count, then per fact the
+        // cycle, 128-bit state digest, outcome and final cycle.
+        let mut w = Writer::new();
+        w.u8(0);
+        w.u64(0);
+        w.u64(0x42);
+        w.u32(1);
+        w.u64(5);
+        w.u64(0xDEAD_BEEF);
+        w.u64(0x0123_4567);
+        wire::put_outcome(&mut w, Outcome::NoEffect);
+        w.u64(105);
+        let payload = w.finish();
+        let mut legacy = Vec::new();
+        legacy.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        legacy.extend_from_slice(&wire::fnv1a32(&payload).to_le_bytes());
+        legacy.extend_from_slice(&payload);
+        std::fs::write(&path, &legacy).unwrap();
+
+        let mut store = WarmStore::open(&path).unwrap();
+        assert!(store.is_empty(), "legacy facts are not coordinates");
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            legacy,
+            "a legacy store must not be truncated"
+        );
+        let fresh = [result(0, 5, 1, Outcome::Timeout)];
+        assert_eq!(store.append(0x42, &fresh).unwrap(), 1);
+        drop(store);
+
+        let store = WarmStore::open(&path).unwrap();
+        assert_eq!(store.len(), 1);
+        assert!(std::fs::read(&path).unwrap().starts_with(&legacy));
         std::fs::remove_file(&path).unwrap();
     }
 

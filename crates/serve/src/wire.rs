@@ -8,11 +8,9 @@
 //! with the offending byte offset, which the protocol layer surfaces as
 //! `ProtocolError::Malformed`.
 
-use sofi_campaign::{
-    CampaignResult, ExecutorStats, ExperimentResult, FaultDomain, MemoRecord, Outcome,
-};
+use sofi_campaign::{CampaignResult, ExecutorStats, ExperimentResult, FaultDomain, Outcome};
 use sofi_isa::MemWidth;
-use sofi_machine::{StateDigest, Trap};
+use sofi_machine::Trap;
 use sofi_space::{Experiment, FaultCoord, FaultSpace};
 use sofi_telemetry::{Bucket, HistogramSnapshot, Snapshot};
 use std::fmt;
@@ -398,34 +396,6 @@ pub fn take_experiment(r: &mut Reader<'_>) -> Result<Experiment, WireError> {
 
 /// Encoded size of a bare [`Experiment`] (fixed width).
 pub const EXPERIMENT_BYTES: usize = 4 + 8 + 8 + 8;
-
-/// Encodes one memoized fault-equivalence fact — the facts a remote
-/// worker's shard established, shipped home in a partial upload so the
-/// coordinator's warm store keeps learning from remote work.
-pub fn put_memo_record(w: &mut Writer, m: &MemoRecord) {
-    w.u64(m.cycle);
-    let bits = m.digest.to_bits();
-    w.u64((bits >> 64) as u64);
-    w.u64(bits as u64);
-    put_outcome(w, m.outcome);
-    w.u64(m.final_cycle);
-}
-
-/// Decodes one [`MemoRecord`].
-pub fn take_memo_record(r: &mut Reader<'_>) -> Result<MemoRecord, WireError> {
-    let cycle = r.u64()?;
-    let hi = r.u64()?;
-    let lo = r.u64()?;
-    Ok(MemoRecord {
-        cycle,
-        digest: StateDigest::from_bits((u128::from(hi) << 64) | u128::from(lo)),
-        outcome: take_outcome(r)?,
-        final_cycle: r.u64()?,
-    })
-}
-
-/// Minimum encoded size of a [`MemoRecord`] (outcome tag is ≥ 1 byte).
-pub const MEMO_RECORD_MIN_BYTES: usize = 8 + 16 + 1 + 8;
 
 /// Encodes a full [`CampaignResult`].
 pub fn put_campaign_result(w: &mut Writer, res: &CampaignResult) {

@@ -174,26 +174,16 @@ pub fn run_worker(config: &WorkerConfig) -> Result<WorkerReport, ClientError> {
                                     )));
                                 }
                             };
-                            if spec.warm_store && spec.config.memoization {
-                                // Harvest memo facts so the upload can
-                                // feed the coordinator's warm store.
-                                c.set_memo_harvest();
-                            }
                             campaigns.entry(job).or_insert(c)
                         }
                     };
                     let (results, stats) =
                         campaign.run_experiments_stats(spec.domain, &experiments);
-                    let memo = if spec.warm_store && spec.config.memoization {
-                        campaign.export_memo()
-                    } else {
-                        Vec::new()
-                    };
                     if let Some(stall) = config.stall_before_upload {
                         thread::sleep(stall);
                     }
                     let experiments_run = results.len() as u64;
-                    match client.upload(id, lease, job, shard, results, stats, memo) {
+                    match client.upload(id, lease, job, shard, results, stats) {
                         Ok(outcome) => {
                             use crate::protocol::UploadOutcome;
                             match outcome {

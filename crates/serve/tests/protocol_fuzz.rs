@@ -3,11 +3,10 @@
 //! and arbitrary byte soup never panics the decoder.
 
 use sofi_campaign::{
-    CampaignConfig, CampaignResult, ExecutorStats, ExperimentResult, FaultDomain, MemoRecord,
-    Outcome,
+    CampaignConfig, CampaignResult, ExecutorStats, ExperimentResult, FaultDomain, Outcome,
 };
 use sofi_isa::MemWidth;
-use sofi_machine::{StateDigest, Trap};
+use sofi_machine::Trap;
 use sofi_rng::{DefaultRng, Rng};
 use sofi_serve::job::{JobSpec, JobState, JobStatus, WorkerStatus};
 use sofi_serve::protocol::{Message, ProtocolError, UploadOutcome, HEADER_LEN, MAX_PAYLOAD};
@@ -174,19 +173,6 @@ fn random_experiments(rng: &mut DefaultRng, max: usize) -> Vec<Experiment> {
         .collect()
 }
 
-fn random_memo(rng: &mut DefaultRng, max: usize) -> Vec<MemoRecord> {
-    (0..rng.gen_range(0..max + 1))
-        .map(|_| MemoRecord {
-            cycle: rng.gen_range(1u64..1 << 40),
-            digest: StateDigest::from_bits(
-                (u128::from(rng.next_u64()) << 64) | u128::from(rng.next_u64()),
-            ),
-            outcome: random_outcome(rng),
-            final_cycle: rng.next_u64() >> 8,
-        })
-        .collect()
-}
-
 fn random_worker_status(rng: &mut DefaultRng) -> WorkerStatus {
     WorkerStatus {
         id: rng.next_u64(),
@@ -280,7 +266,6 @@ fn random_message(rng: &mut DefaultRng) -> Message {
             shard: rng.next_u32(),
             results: random_results(rng, 12),
             stats: random_stats(rng),
-            memo: random_memo(rng, 8),
         },
         18 => Message::Workers,
         19 => Message::Registered {
@@ -484,6 +469,30 @@ fn v5_peers_get_typed_bad_version() {
         assert_eq!(
             Message::decode_frame(&frame),
             Err(ProtocolError::BadVersion(5))
+        );
+    }
+}
+
+/// A v6 peer (the previous revision, whose partial uploads still
+/// carried a trailing memo-fact list) likewise gets a typed
+/// `BadVersion(6)` for a perfectly sealed frame, not a `Malformed`
+/// complaint about its trailing bytes: version negotiation is what tells
+/// the peer to upgrade.
+#[test]
+fn v6_peers_get_typed_bad_version() {
+    let mut rng = DefaultRng::seed_from_u64(0x0606);
+    for _ in 0..50 {
+        let mut frame = random_message(&mut rng).encode_frame();
+        frame[4..6].copy_from_slice(&6u16.to_le_bytes());
+        // Re-seal the checksum so the version is the *only* defect.
+        let checksum = sofi_serve::wire::fnv1a32_update(
+            sofi_serve::wire::fnv1a32(&frame[..12]),
+            &frame[HEADER_LEN..],
+        );
+        frame[12..16].copy_from_slice(&checksum.to_le_bytes());
+        assert_eq!(
+            Message::decode_frame(&frame),
+            Err(ProtocolError::BadVersion(6))
         );
     }
 }

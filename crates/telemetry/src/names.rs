@@ -60,18 +60,14 @@ pub const GATE_SHARDS_ON: &str = "executor.gate_shards_on";
 /// savings.
 pub const GATE_SHARDS_OFF: &str = "executor.gate_shards_off";
 
-/// Counter: memo hits served from entries preloaded out of the daemon's
-/// persistent cross-campaign warm store (a subset of
-/// [`MEMO_HITS`]).
+/// Counter: experiments the daemon answered from its persistent
+/// cross-campaign warm store by coordinate, without simulation (recorded
+/// into the job's registry; disjoint from [`MEMO_HITS`]).
 pub const STORE_HITS: &str = "executor.store_hits";
 
-/// Counter: fresh memo entries appended to the daemon's persistent warm
+/// Counter: experiment outcomes appended to the daemon's persistent warm
 /// store after a job completed.
 pub const STORE_APPENDS: &str = "serve.store_appends";
-
-/// Counter: memo entries preloaded from the warm store into a job's
-/// campaign cache before execution.
-pub const STORE_PRELOADS: &str = "serve.store_preloads";
 
 /// Histogram: wall-clock latency of one warm-store batch append
 /// (checksummed record + fsync, like the job journal).

@@ -200,19 +200,11 @@ fn duplicate_and_expired_uploads_are_rejected_over_the_wire() {
     };
     let (results, stats) = execute_shard(&spec, &experiments);
     let first = client
-        .upload(
-            worker,
-            lease,
-            job,
-            shard,
-            results.clone(),
-            stats,
-            Vec::new(),
-        )
+        .upload(worker, lease, job, shard, results.clone(), stats)
         .unwrap();
     assert_eq!(first, UploadOutcome::Committed);
     let again = client
-        .upload(worker, lease, job, shard, results, stats, Vec::new())
+        .upload(worker, lease, job, shard, results, stats)
         .unwrap();
     assert_eq!(again, UploadOutcome::Duplicate, "re-send must deduplicate");
 
@@ -230,7 +222,7 @@ fn duplicate_and_expired_uploads_are_rejected_over_the_wire() {
         let (results, stats) = execute_shard(&spec, &experiments);
         std::thread::sleep(Duration::from_millis(600));
         let late = client
-            .upload(worker, lease, job, shard, results, stats, Vec::new())
+            .upload(worker, lease, job, shard, results, stats)
             .unwrap();
         assert!(
             matches!(late, UploadOutcome::StaleLease | UploadOutcome::Duplicate),
@@ -288,7 +280,7 @@ fn coordinator_restart_with_torn_tail_and_live_worker() {
             } => {
                 let (results, stats) = execute_shard(&spec, &experiments);
                 stale_lease = lease;
-                let _ = sched.upload(worker, lease, job, shard, results, &stats, &[]);
+                let _ = sched.upload(worker, lease, job, shard, results, &stats);
             }
             LeaseOffer::NoWork { .. } => std::thread::sleep(Duration::from_millis(5)),
         }
@@ -334,7 +326,7 @@ fn coordinator_restart_with_torn_tail_and_live_worker() {
     // the rejection is typed StaleLease (job not Running / lease gone) or
     // Duplicate (shard 0's pre-crash commit replayed from the journal).
     // Either way it must not merge.
-    let outcome = sched.upload(worker, stale_lease, id, 0, results, &stats, &[]);
+    let outcome = sched.upload(worker, stale_lease, id, 0, results, &stats);
     assert_ne!(
         outcome,
         UploadOutcome::Committed,
@@ -358,7 +350,7 @@ fn coordinator_restart_with_torn_tail_and_live_worker() {
                 experiments,
             } => {
                 let (results, stats) = execute_shard(&spec, &experiments);
-                if sched.upload(worker, lease, job, shard, results, &stats, &[])
+                if sched.upload(worker, lease, job, shard, results, &stats)
                     == UploadOutcome::Committed
                 {
                     post_crash_commits += 1;

@@ -1,22 +1,27 @@
-//! Warm-store oracle: the persistent cross-campaign memo store must be
-//! sound (never change outcomes), effective (a second submission of the
-//! same workload hits persisted facts), and durable (facts survive a
-//! daemon kill/restart, and a torn tail left by a crash mid-append is
-//! truncated, not propagated).
+//! Warm-store oracle: the persistent cross-campaign outcome store must
+//! be sound (never change outcomes), effective (a second submission of
+//! the same workload is answered from the store without simulating
+//! anything), and durable (outcomes survive a daemon kill/restart, and a
+//! torn tail left by a crash mid-append is truncated, not propagated).
 //!
 //! The sweep covers every workload in the suite × both fault domains:
 //! a first daemon incarnation runs each campaign once and feeds the
 //! store, is then dropped ("killed") with garbage appended to the store
 //! file to simulate a write torn by the kill, and a second incarnation
 //! re-submits every campaign. Each second run must return a
-//! bit-identical [`sofi_campaign::CampaignResult`] *and* report >0
-//! persisted-store hits.
+//! bit-identical [`sofi_campaign::CampaignResult`] with every experiment
+//! answered from the store and zero faulted cycles simulated. Smaller
+//! cases cover a partially warm context, the journal replay of a fully
+//! store-answered job, and the `submit --cold` bypass.
 
 use sofi::campaign::FaultDomain;
 use sofi::workloads::all_baselines;
-use sofi_campaign::{CampaignConfig, CampaignResult, ExecutorStats};
+use sofi_campaign::{Campaign, CampaignConfig, CampaignResult, ExecutorStats};
 use sofi_isa::Program;
-use sofi_serve::{Coordinator, JobSpec, JobState, ServeConfig, SubmitOutcome};
+use sofi_serve::{
+    context_key, Coordinator, JobSpec, JobState, Journal, Record, ServeConfig, SubmitOutcome,
+    WarmStore,
+};
 use std::collections::HashMap;
 use std::path::PathBuf;
 
@@ -110,8 +115,8 @@ fn second_submission_hits_persisted_facts_across_daemon_restart() {
     }
 
     // Second incarnation: fresh journal, same store. Every re-submission
-    // must be answered partly from persisted facts and remain
-    // bit-identical to the first run.
+    // must be answered in full from the store — no simulation at all —
+    // and remain bit-identical to the first run.
     let sched = Coordinator::open(&journal2, config()).unwrap();
     let t1 = std::time::Instant::now();
     let second = run_suite(&sched, &programs);
@@ -127,14 +132,18 @@ fn second_submission_hits_persisted_facts_across_daemon_restart() {
             result, expected,
             "{name}/{domain:?}: warm-store run changed outcomes"
         );
-        assert!(
-            stats.store_hits > 0,
-            "{name}/{domain:?}: no persisted hits on a warmed store"
+        assert_eq!(
+            stats.store_hits,
+            result.results.len() as u64,
+            "{name}/{domain:?}: a warmed store must answer every experiment"
         );
-        // Visible with --nocapture: the measured warm-run hit profile.
-        eprintln!(
-            "warm {name}/{domain:?}: {}/{} experiments from the store ({} memo hits total)",
-            stats.store_hits, stats.experiments, stats.memo_hits
+        assert_eq!(
+            stats.store_hits, stats.experiments,
+            "{name}/{domain:?}: store-answered experiments must be counted"
+        );
+        assert_eq!(
+            stats.faulted_cycles, 0,
+            "{name}/{domain:?}: a fully warm job simulated faulted cycles"
         );
     }
     drop(sched);
@@ -160,7 +169,7 @@ fn cold_submissions_bypass_the_store() {
 
     // Warm the store, then submit the same campaign with the spec's
     // warm_store cleared (`submit --cold`): outcomes stay identical but
-    // nothing is preloaded, so zero persisted hits.
+    // nothing is looked up, so zero store hits.
     let SubmitOutcome::Accepted(a) = sched.submit(spec(program, FaultDomain::Memory)) else {
         panic!("refused");
     };
@@ -183,5 +192,134 @@ fn cold_submissions_bypass_the_store() {
 
     drop(sched);
     std::fs::remove_file(&journal).unwrap();
+    std::fs::remove_file(&store).unwrap();
+}
+
+/// The in-process reference result of one campaign.
+fn in_process(program: &Program, domain: FaultDomain) -> CampaignResult {
+    Campaign::with_config(program, CampaignConfig::default())
+        .unwrap()
+        .run_full_defuse_in(domain)
+}
+
+/// Submits one job, waits for it, and returns its result and stats.
+fn run_one(sched: &Coordinator, spec: JobSpec) -> (u64, CampaignResult, ExecutorStats) {
+    let SubmitOutcome::Accepted(id) = sched.submit(spec) else {
+        panic!("refused");
+    };
+    sched.wait_idle();
+    let status = sched.status(Some(id)).unwrap().remove(0);
+    assert_eq!(status.state, JobState::Done, "{}", status.error);
+    let (result, stats) = sched.result(id).unwrap();
+    (id, result, stats)
+}
+
+#[test]
+fn partially_warm_context_simulates_only_the_misses() {
+    let journal = temp_path("partial", "journal");
+    let store = temp_path("partial", "store");
+    let program = &all_baselines()[0];
+    let domain = FaultDomain::Memory;
+    let expected = in_process(program, domain);
+    let total = expected.results.len();
+    assert!(total > 2, "workload too small to split");
+
+    // Seed the store with every other coordinate of the plan.
+    let ctx = context_key(&program.to_source(), domain, &CampaignConfig::default());
+    let seeded: Vec<_> = expected.results.iter().copied().step_by(2).collect();
+    WarmStore::open(&store)
+        .unwrap()
+        .append(ctx, &seeded)
+        .unwrap();
+
+    let sched = Coordinator::open(
+        &journal,
+        ServeConfig {
+            workers: 1,
+            warm_store: Some(store.clone()),
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    let (_, result, stats) = run_one(&sched, spec(program, domain));
+    assert_eq!(result, expected, "a partially warm job changed outcomes");
+    assert_eq!(stats.store_hits, seeded.len() as u64);
+    assert_eq!(stats.experiments, total as u64);
+    assert!(
+        stats.faulted_cycles > 0 || stats.memo_hits > 0,
+        "the misses were never simulated"
+    );
+    drop(sched);
+
+    // The completed job filled the store in: the whole plan is there now.
+    assert_eq!(WarmStore::open(&store).unwrap().len(), total);
+    std::fs::remove_file(&journal).unwrap();
+    std::fs::remove_file(&store).unwrap();
+}
+
+#[test]
+fn store_answered_job_replays_from_the_journal_after_a_restart() {
+    let journal = temp_path("replay-a", "journal");
+    let killed = temp_path("replay-b", "journal");
+    let store = temp_path("replay", "store");
+    let program = &all_baselines()[0];
+    let domain = FaultDomain::RegisterFile;
+    let expected = in_process(program, domain);
+    let ctx = context_key(&program.to_source(), domain, &CampaignConfig::default());
+    WarmStore::open(&store)
+        .unwrap()
+        .append(ctx, &expected.results)
+        .unwrap();
+
+    let sched = Coordinator::open(
+        &journal,
+        ServeConfig {
+            workers: 1,
+            warm_store: Some(store.clone()),
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    let (id, result, stats) = run_one(&sched, spec(program, domain));
+    assert_eq!(result, expected);
+    assert_eq!(stats.store_hits, expected.results.len() as u64);
+    assert_eq!(stats.faulted_cycles + stats.pristine_cycles, 0);
+    drop(sched);
+
+    // The store's answer is journaled as exactly one batch. Rebuild the
+    // journal a daemon killed after that batch but before the job's end
+    // record would have left behind.
+    let (_, records) = Journal::open(&journal).unwrap();
+    let batches = records
+        .iter()
+        .filter(|r| matches!(r, Record::Batch { job, .. } if *job == id))
+        .count();
+    assert_eq!(batches, 1, "store hits must commit as one journal batch");
+    {
+        let (mut cut, _) = Journal::open(&killed).unwrap();
+        for r in records.iter().filter(|r| !matches!(r, Record::End { .. })) {
+            cut.append(r).unwrap();
+        }
+    }
+
+    // Restart without any store: the result can only come from replay.
+    let sched = Coordinator::open(
+        &killed,
+        ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    sched.wait_idle();
+    let status = sched.status(Some(id)).unwrap().remove(0);
+    assert_eq!(status.state, JobState::Done, "{}", status.error);
+    assert_eq!(status.done, status.total);
+    let (replayed, replay_stats) = sched.result(id).unwrap();
+    assert_eq!(replayed, expected, "journal replay changed outcomes");
+    assert_eq!(replay_stats.faulted_cycles, 0, "replay re-simulated");
+    drop(sched);
+    std::fs::remove_file(&journal).unwrap();
+    std::fs::remove_file(&killed).unwrap();
     std::fs::remove_file(&store).unwrap();
 }
