@@ -12,10 +12,10 @@ fn bench_full_scan(c: &mut Criterion) {
     group.sample_size(10);
     for program in [hi(), fib(Variant::Baseline)] {
         let campaign = Campaign::new(&program).unwrap();
-        let experiments = campaign.plan().experiments.len() as u64;
+        let experiments = campaign.plan_for(FaultDomain::Memory).experiments.len() as u64;
         group.throughput(Throughput::Elements(experiments));
         group.bench_function(program.name.clone(), |b| {
-            b.iter(|| campaign.run_full_defuse());
+            b.iter(|| campaign.run_full_defuse_in(FaultDomain::Memory));
         });
     }
     group.finish();
@@ -32,7 +32,7 @@ fn bench_parallelism(c: &mut Criterion) {
         };
         let campaign = Campaign::with_config(&program, config).unwrap();
         group.bench_function(format!("fib_t{threads}"), |b| {
-            b.iter(|| campaign.run_full_defuse());
+            b.iter(|| campaign.run_full_defuse_in(FaultDomain::Memory));
         });
     }
     group.finish();
@@ -43,7 +43,9 @@ fn bench_brute_force(c: &mut Criterion) {
     group.sample_size(10);
     let campaign = Campaign::new(&hi()).unwrap();
     group.throughput(Throughput::Elements(128));
-    group.bench_function("hi_128_coords", |b| b.iter(|| campaign.run_brute_force()));
+    group.bench_function("hi_128_coords", |b| {
+        b.iter(|| campaign.run_brute_force_in(FaultDomain::Memory))
+    });
     group.finish();
 }
 

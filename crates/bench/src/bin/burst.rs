@@ -7,7 +7,7 @@
 //! inside a word are still corrected; bursts straddling a replica boundary
 //! can defeat it.
 
-use sofi::campaign::Campaign;
+use sofi::campaign::{Campaign, FaultDomain};
 use sofi::report::Table;
 use sofi::workloads::{bin_sem2, fib, Variant};
 use sofi_bench::save_artifact;
@@ -40,7 +40,7 @@ fn main() {
         let campaign = Campaign::new(program).expect("golden run");
         for width in [1u32, 2, 4, 8] {
             let mut rng = sofi_rng::DefaultRng::seed_from_u64(0xB0B5);
-            let b = campaign.run_burst_sampled(DRAWS, width, &mut rng);
+            let b = campaign.run_burst_sampled_in(FaultDomain::Memory, DRAWS, width, &mut rng);
             rows.push(BurstRow {
                 benchmark: program.name.clone(),
                 width,

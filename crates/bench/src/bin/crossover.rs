@@ -8,7 +8,7 @@
 //! protection pays off, to the right it is a net loss, while the (bogus)
 //! coverage verdict stays "improved" across the whole sweep.
 
-use sofi::campaign::Campaign;
+use sofi::campaign::{Campaign, FaultDomain};
 use sofi::metrics::{fault_coverage, Weighting};
 use sofi::report::{bar_chart, Table};
 use sofi::workloads::{bin_sem2_param, Variant};
@@ -34,7 +34,7 @@ sofi::report::impl_to_json!(SweepRow {
 fn main() {
     let baseline = bin_sem2_param(Variant::Baseline, 0);
     let cb = Campaign::new(&baseline).expect("golden run");
-    let fb = cb.run_full_defuse();
+    let fb = cb.run_full_defuse_in(FaultDomain::Memory);
     let f_base = fb.failure_weight() as f64;
     let c_base = fault_coverage(&fb, Weighting::Weighted);
 
@@ -43,7 +43,7 @@ fn main() {
         eprintln!("scrub pool {scrub_pool} ...");
         let hardened = bin_sem2_param(Variant::SumDmr, scrub_pool);
         let ch = Campaign::new(&hardened).expect("golden run");
-        let fh = ch.run_full_defuse();
+        let fh = ch.run_full_defuse_in(FaultDomain::Memory);
         rows.push(SweepRow {
             scrub_pool,
             runtime_ratio: ch.golden().cycles as f64 / cb.golden().cycles as f64,

@@ -6,7 +6,7 @@
 //! absolute failure counts) carries over unchanged; only the location
 //! axis differs, exactly as the paper's generalization argues.
 
-use sofi::campaign::Campaign;
+use sofi::campaign::{Campaign, FaultDomain};
 use sofi::metrics::{fault_coverage, Weighting};
 use sofi::report::Table;
 use sofi_bench::save_artifact;
@@ -39,8 +39,8 @@ fn main() {
         for program in [base, hard] {
             eprintln!("scanning {} (memory + registers) ...", program.name);
             let campaign = Campaign::new(&program).expect("golden run");
-            let mem = campaign.run_full_defuse();
-            let reg = campaign.run_full_defuse_registers();
+            let mem = campaign.run_full_defuse_in(FaultDomain::Memory);
+            let reg = campaign.run_full_defuse_in(FaultDomain::RegisterFile);
             rows.push(DomainRow {
                 variant: program.name.clone(),
                 mem_space: mem.space.size(),

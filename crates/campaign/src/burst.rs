@@ -53,26 +53,11 @@ impl BurstSampledResult {
 
 impl Campaign {
     /// Runs a sampling campaign under the burst fault model: each of the
-    /// `n` draws picks a uniform (cycle, anchor-bit) coordinate and flips
-    /// `width` adjacent memory bits at once.
+    /// `n` draws picks a uniform (cycle, anchor-bit) coordinate of
+    /// `domain`'s fault space and flips `width` adjacent bits at once.
     ///
     /// `width = 1` reproduces the single-bit model (useful for validating
-    /// the estimator against [`Campaign::run_sampled`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width` is 0 or exceeds the RAM width, or if the fault
-    /// space is empty.
-    pub fn run_burst_sampled<R: Rng + ?Sized>(
-        &self,
-        n: u64,
-        width: u32,
-        rng: &mut R,
-    ) -> BurstSampledResult {
-        self.run_burst_sampled_in(FaultDomain::Memory, n, width, rng)
-    }
-
-    /// [`Campaign::run_burst_sampled`] with an explicit fault domain.
+    /// the estimator against [`Campaign::run_sampled_in`]).
     ///
     /// Adjacency is defined per domain: [`FaultDomain::Memory`] and
     /// [`FaultDomain::RegisterFile`] flip `width` adjacent bits of the
@@ -99,24 +84,38 @@ impl Campaign {
         let (analysis, plan) = (self.analysis_for(domain), self.plan_for(domain));
         let space = plan.space;
         assert!(width >= 1, "burst width must be at least 1");
-        // Anchor positions per cycle, and the per-slot anchor count for
-        // domains whose windows must stay inside one instruction word.
-        let (anchors, per_slot) = match domain {
+        // Anchor positions per cycle, the per-slot anchor count for
+        // domains whose windows must stay inside one instruction word, and
+        // how a burst is applied given its first member bit.
+        let flat_anchors = || {
+            assert!(
+                (width as u64) <= space.bits,
+                "burst width {width} exceeds the {domain} axis ({} bits)",
+                space.bits
+            );
+            space.bits - width as u64 + 1
+        };
+        type Inject = fn(&mut Machine, u64, u32);
+        let (anchors, per_slot, inject): (u64, Option<u64>, Inject) = match domain {
+            FaultDomain::Memory => (flat_anchors(), None, |m, base, width| {
+                (base..base + width as u64).for_each(|b| m.flip_bit(b))
+            }),
+            FaultDomain::RegisterFile => (flat_anchors(), None, |m, base, width| {
+                (base..base + width as u64).for_each(|b| m.flip_reg_bit(b))
+            }),
             FaultDomain::OpcodeBit => {
                 assert!(
                     width <= 32,
                     "burst width {width} exceeds the 32-bit instruction word"
                 );
                 let per_slot = 33 - width as u64;
-                ((space.bits / 32) * per_slot, Some(per_slot))
-            }
-            FaultDomain::Memory | FaultDomain::RegisterFile => {
-                assert!(
-                    (width as u64) <= space.bits,
-                    "burst width {width} exceeds the {domain} axis ({} bits)",
-                    space.bits
-                );
-                (space.bits - width as u64 + 1, None)
+                let corrupt: Inject = |m, base, width| {
+                    m.arm_cf_fault(CfFault::CorruptAt {
+                        slot: (base / 32) as u32,
+                        mask: (u32::MAX >> (32 - width)) << (base % 32),
+                    })
+                };
+                ((space.bits / 32) * per_slot, Some(per_slot), corrupt)
             }
             FaultDomain::InstrSkip | FaultDomain::BranchInvert => panic!(
                 "burst model is undefined for {domain}: the fault is a whole \
@@ -184,26 +183,7 @@ impl Campaign {
             let early = pristine.run_to(coord.pre_injection_cycle());
             assert!(early.is_none(), "draw outlived the program");
             let mut m = pristine.clone();
-            match domain {
-                FaultDomain::Memory => {
-                    for d in 0..width as u64 {
-                        m.flip_bit(base + d);
-                    }
-                }
-                FaultDomain::RegisterFile => {
-                    for d in 0..width as u64 {
-                        m.flip_reg_bit(base + d);
-                    }
-                }
-                FaultDomain::OpcodeBit => {
-                    let wb = (base % 32) as u32;
-                    m.arm_cf_fault(CfFault::CorruptAt {
-                        slot: (base / 32) as u32,
-                        mask: (u32::MAX >> (32 - width)) << wb,
-                    });
-                }
-                FaultDomain::InstrSkip | FaultDomain::BranchInvert => unreachable!(),
-            }
+            inject(&mut m, base, width);
             let status = m.run(budget);
             let outcome = Outcome::classify(status, m.serial(), m.detect_count(), self.golden());
             result.by_kind[outcome.kind_index()] += 1;
@@ -249,7 +229,7 @@ mod tests {
     fn width_one_matches_single_bit_model() {
         let c = hi_campaign();
         let mut rng = DefaultRng::seed_from_u64(31);
-        let b = c.run_burst_sampled(20_000, 1, &mut rng);
+        let b = c.run_burst_sampled_in(FaultDomain::Memory, 20_000, 1, &mut rng);
         assert_eq!(b.population, 128);
         // True failure fraction 48/128 = 0.375.
         let frac = b.failure_draws as f64 / b.draws as f64;
@@ -263,7 +243,7 @@ mod tests {
         let mut fractions = Vec::new();
         for width in [1u32, 2, 4, 8] {
             let mut rng = DefaultRng::seed_from_u64(32);
-            let b = c.run_burst_sampled(8_000, width, &mut rng);
+            let b = c.run_burst_sampled_in(FaultDomain::Memory, 8_000, width, &mut rng);
             fractions.push(b.failure_draws as f64 / b.draws as f64);
         }
         // A wider burst covers a superset of vulnerable windows (minus
@@ -276,7 +256,7 @@ mod tests {
     fn accounting_is_complete() {
         let c = hi_campaign();
         let mut rng = DefaultRng::seed_from_u64(33);
-        let b = c.run_burst_sampled(2_000, 3, &mut rng);
+        let b = c.run_burst_sampled_in(FaultDomain::Memory, 2_000, 3, &mut rng);
         assert_eq!(b.by_kind.iter().sum::<u64>(), b.draws);
         assert!(b.benign_skips > 0);
     }
@@ -286,7 +266,7 @@ mod tests {
     fn oversized_width_panics() {
         let c = hi_campaign();
         let mut rng = DefaultRng::seed_from_u64(34);
-        c.run_burst_sampled(10, 17, &mut rng);
+        c.run_burst_sampled_in(FaultDomain::Memory, 10, 17, &mut rng);
     }
 
     #[test]

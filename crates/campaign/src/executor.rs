@@ -206,18 +206,14 @@ pub struct Campaign {
     program: Program,
     events: Vec<ExternalEvent>,
     golden: GoldenRun,
-    analysis: DefUseAnalysis,
-    plan: InjectionPlan,
-    /// The register file's def/use space, built lazily on first use:
-    /// memory-domain campaigns (every serve job of the memory domain)
-    /// never touch it, and it costs more to build than the memory plan.
-    reg: OnceLock<(DefUseAnalysis, InjectionPlan)>,
-    /// Control-flow fault spaces (`sofi_space::cflow`), built lazily on
-    /// first use: most campaigns never touch them, and the opcode-bit
-    /// space is 32 columns per ROM slot.
-    cf_skip: OnceLock<(DefUseAnalysis, InjectionPlan)>,
-    cf_opcode: OnceLock<(DefUseAnalysis, InjectionPlan)>,
-    cf_branch: OnceLock<(DefUseAnalysis, InjectionPlan)>,
+    /// Each fault domain's equivalence analysis and pruned plan, indexed
+    /// by `FaultDomain as usize`. The memory slot is filled at
+    /// construction; the others are built on first use: memory-domain
+    /// campaigns (every serve job of the memory domain) never touch the
+    /// register space, which costs more to build than the memory plan,
+    /// and the control-flow spaces (`sofi_space::cflow`) are rarely
+    /// wanted — the opcode-bit space is 32 columns per ROM slot.
+    spaces: [OnceLock<(DefUseAnalysis, InjectionPlan)>; 5],
     config: CampaignConfig,
     /// Evenly spaced pristine-machine snapshots plus the liveness mask at
     /// each snapshot cycle, built lazily on first use. Workers start
@@ -231,7 +227,7 @@ pub struct Campaign {
     /// Runtime observability ([`sofi_telemetry::Registry`]): phase spans,
     /// per-experiment histograms and executor counters. Disabled (all
     /// no-ops) unless [`CampaignConfig::telemetry`] is set or an enabled
-    /// registry is passed to [`Campaign::with_events_telemetry`]. Clones
+    /// registry is passed to [`Campaign::prepare`]. Clones
     /// of the campaign share the registry.
     telemetry: Registry,
 }
@@ -522,49 +518,24 @@ impl Campaign {
     ///
     /// Same as [`Campaign::new`].
     pub fn with_config(program: &Program, config: CampaignConfig) -> Result<Campaign, GoldenError> {
-        Campaign::with_events(program, config, Vec::new())
+        let telemetry = Registry::with_enabled(config.telemetry);
+        Campaign::prepare(program, config, Vec::new(), telemetry)
     }
 
     /// [`Campaign::with_config`] plus a deterministic external-event
     /// schedule, replayed identically in the golden run and in every
-    /// experiment (§II-C).
+    /// experiment (§II-C), recording into a caller-supplied telemetry
+    /// registry (the campaign daemon passes a per-job registry here; an
+    /// enabled registry wins over `config.telemetry`, and
+    /// `Registry::with_enabled(config.telemetry)` reproduces
+    /// [`Campaign::with_config`]). Golden-run capture and def/use pruning
+    /// are timed as spans here, which is why the registry must exist
+    /// before construction rather than being attached afterwards.
     ///
     /// # Errors
     ///
     /// Same as [`Campaign::new`].
-    pub fn with_events(
-        program: &Program,
-        config: CampaignConfig,
-        events: Vec<ExternalEvent>,
-    ) -> Result<Campaign, GoldenError> {
-        let telemetry = Registry::with_enabled(config.telemetry);
-        Campaign::with_events_telemetry(program, config, events, telemetry)
-    }
-
-    /// [`Campaign::with_config`] recording into a caller-supplied
-    /// telemetry registry (the campaign daemon passes a per-job registry
-    /// here; an enabled registry wins over `config.telemetry`).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Campaign::new`].
-    pub fn with_config_telemetry(
-        program: &Program,
-        config: CampaignConfig,
-        telemetry: Registry,
-    ) -> Result<Campaign, GoldenError> {
-        Campaign::with_events_telemetry(program, config, Vec::new(), telemetry)
-    }
-
-    /// [`Campaign::with_events`] recording into a caller-supplied
-    /// telemetry registry. Golden-run capture and def/use pruning are
-    /// timed as spans here, which is why the registry must exist before
-    /// construction rather than being attached afterwards.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Campaign::new`].
-    pub fn with_events_telemetry(
+    pub fn prepare(
         program: &Program,
         config: CampaignConfig,
         events: Vec<ExternalEvent>,
@@ -579,25 +550,18 @@ impl Campaign {
                 events.clone(),
             )?
         };
-        let span = telemetry.span(names::SPAN_DEFUSE_NS);
-        let analysis = DefUseAnalysis::from_golden(&golden);
-        let plan = analysis.plan();
-        span.finish();
-        Ok(Campaign {
+        let campaign = Campaign {
             program: program.clone(),
             events,
             golden,
-            analysis,
-            plan,
-            reg: OnceLock::new(),
-            cf_skip: OnceLock::new(),
-            cf_opcode: OnceLock::new(),
-            cf_branch: OnceLock::new(),
+            spaces: Default::default(),
             config,
             checkpoints: OnceLock::new(),
             memo: Arc::new(MemoCache::default()),
             telemetry,
-        })
+        };
+        campaign.space(FaultDomain::Memory);
+        Ok(campaign)
     }
 
     /// The campaign's telemetry registry (disabled — snapshots empty —
@@ -611,76 +575,38 @@ impl Campaign {
         &self.golden
     }
 
-    /// The def/use analysis of the golden run.
-    pub fn analysis(&self) -> &DefUseAnalysis {
-        &self.analysis
-    }
-
-    /// The pruned injection plan (memory domain).
-    pub fn plan(&self) -> &InjectionPlan {
-        &self.plan
-    }
-
-    /// The def/use analysis of the register-file fault space (§VI-B:
-    /// `Δt cycles × 480 register bits`, with accesses recorded exactly as
-    /// the datapath performs them).
-    pub fn register_analysis(&self) -> &DefUseAnalysis {
-        &self.lazy_pair(FaultDomain::RegisterFile).0
-    }
-
-    /// The pruned injection plan for the register-file domain.
-    pub fn register_plan(&self) -> &InjectionPlan {
-        &self.lazy_pair(FaultDomain::RegisterFile).1
-    }
-
-    /// The lazily built (analysis, plan) pair of every domain but memory.
-    /// The register file's def/use analysis is timed into the same
-    /// def/use span as the memory plan built at construction.
-    fn lazy_pair(&self, domain: FaultDomain) -> &(DefUseAnalysis, InjectionPlan) {
-        let build = |analysis: DefUseAnalysis| {
+    /// `domain`'s (analysis, plan) pair, built on first use. The data
+    /// domains' def/use analyses are timed into the def/use span.
+    fn space(&self, domain: FaultDomain) -> &(DefUseAnalysis, InjectionPlan) {
+        self.spaces[domain as usize].get_or_init(|| {
+            let _span = matches!(domain, FaultDomain::Memory | FaultDomain::RegisterFile)
+                .then(|| self.telemetry.span(names::SPAN_DEFUSE_NS));
+            let rom_len = self.program.insts.len();
+            let analysis = match domain {
+                FaultDomain::Memory => DefUseAnalysis::from_golden(&self.golden),
+                FaultDomain::RegisterFile => {
+                    DefUseAnalysis::from_timelines(&self.golden.reg_timelines(), self.golden.cycles)
+                }
+                FaultDomain::InstrSkip => sofi_space::instr_skip_analysis(&self.golden, rom_len),
+                FaultDomain::OpcodeBit => sofi_space::opcode_bit_analysis(&self.golden, rom_len),
+                FaultDomain::BranchInvert => sofi_space::branch_invert_analysis(&self.golden),
+            };
             let plan = analysis.plan();
             (analysis, plan)
-        };
-        let rom_len = self.program.insts.len();
-        match domain {
-            FaultDomain::RegisterFile => self.reg.get_or_init(|| {
-                let _span = self.telemetry.span(names::SPAN_DEFUSE_NS);
-                build(DefUseAnalysis::from_timelines(
-                    &self.golden.reg_timelines(),
-                    self.golden.cycles,
-                ))
-            }),
-            FaultDomain::InstrSkip => self
-                .cf_skip
-                .get_or_init(|| build(sofi_space::instr_skip_analysis(&self.golden, rom_len))),
-            FaultDomain::OpcodeBit => self
-                .cf_opcode
-                .get_or_init(|| build(sofi_space::opcode_bit_analysis(&self.golden, rom_len))),
-            FaultDomain::BranchInvert => self
-                .cf_branch
-                .get_or_init(|| build(sofi_space::branch_invert_analysis(&self.golden))),
-            FaultDomain::Memory => unreachable!("the memory plan is built eagerly"),
-        }
+        })
     }
 
-    /// The equivalence analysis for `domain` (def/use for the data
-    /// domains, trace-based for the control-flow domains; all but the
-    /// memory analysis are built lazily on first use).
+    /// The equivalence analysis for `domain`: def/use for the data
+    /// domains — the register file's (§VI-B: `Δt cycles × 480 register
+    /// bits`) with accesses recorded exactly as the datapath performs
+    /// them — and trace-based for the control-flow domains.
     pub fn analysis_for(&self, domain: FaultDomain) -> &DefUseAnalysis {
-        match domain {
-            FaultDomain::Memory => &self.analysis,
-            _ => &self.lazy_pair(domain).0,
-        }
+        &self.space(domain).0
     }
 
-    /// The pruned injection plan for `domain` (the campaign service and
-    /// other callers that carry the domain as data rather than picking an
-    /// accessor statically).
+    /// The pruned injection plan for `domain`.
     pub fn plan_for(&self, domain: FaultDomain) -> &InjectionPlan {
-        match domain {
-            FaultDomain::Memory => &self.plan,
-            _ => &self.lazy_pair(domain).1,
-        }
+        &self.space(domain).1
     }
 
     /// The program under test.
@@ -698,41 +624,12 @@ impl Campaign {
         &self.events
     }
 
-    /// Executes the def/use-pruned full fault-space scan: one experiment
-    /// per equivalence class, covering the entire space exactly.
-    pub fn run_full_defuse(&self) -> CampaignResult {
-        self.run_plan(&self.plan)
-    }
-
-    /// Executes the full def/use scan of the *register-file* fault space
-    /// (§VI-B). Coordinates are `(cycle, (reg − 1)·32 + bit)` over
-    /// `r1..r15`.
-    pub fn run_full_defuse_registers(&self) -> CampaignResult {
-        self.run_plan_in(FaultDomain::RegisterFile, self.register_plan())
-    }
-
-    /// Brute-force scan of the register file (tiny programs only; used to
-    /// validate register-domain pruning).
-    pub fn run_brute_force_registers(&self) -> CampaignResult {
-        let plan = InjectionPlan::full_scan(self.register_analysis().space);
-        self.run_plan_in(FaultDomain::RegisterFile, &plan)
-    }
-
-    /// Executes a brute-force scan: one experiment for *every* raw
-    /// coordinate, no pruning. Exponentially more experiments than
-    /// [`Campaign::run_full_defuse`] — only for tiny programs and for
-    /// validating that pruning is outcome-preserving.
-    pub fn run_brute_force(&self) -> CampaignResult {
-        let plan = InjectionPlan::full_scan(self.analysis.space);
-        self.run_plan(&plan)
-    }
-
-    /// Executes the pruned full scan of `domain`'s fault space (the
-    /// generic form of [`Campaign::run_full_defuse`] /
-    /// [`Campaign::run_full_defuse_registers`], covering the control-flow
-    /// domains too).
+    /// Executes the pruned full scan of `domain`'s fault space: one
+    /// experiment per equivalence class, covering the entire space
+    /// exactly (for [`FaultDomain::RegisterFile`], coordinates are
+    /// `(cycle, (reg − 1)·32 + bit)` over `r1..r15`, §VI-B).
     pub fn run_full_defuse_in(&self, domain: FaultDomain) -> CampaignResult {
-        self.run_plan_in(domain, self.plan_for(domain))
+        self.run_plan_stats(domain, self.plan_for(domain)).0
     }
 
     /// Brute-force scan of `domain`'s fault space — one experiment per
@@ -741,22 +638,12 @@ impl Campaign {
     /// against).
     pub fn run_brute_force_in(&self, domain: FaultDomain) -> CampaignResult {
         let plan = InjectionPlan::full_scan(self.analysis_for(domain).space);
-        self.run_plan_in(domain, &plan)
+        self.run_plan_stats(domain, &plan).0
     }
 
-    /// Executes an arbitrary plan against this campaign's program
-    /// (memory-domain injections).
-    pub fn run_plan(&self, plan: &InjectionPlan) -> CampaignResult {
-        self.run_plan_in(FaultDomain::Memory, plan)
-    }
-
-    /// Executes an arbitrary plan with injections into the given domain.
-    pub fn run_plan_in(&self, domain: FaultDomain, plan: &InjectionPlan) -> CampaignResult {
-        self.run_plan_stats(domain, plan).0
-    }
-
-    /// [`Campaign::run_plan_in`] plus executor instrumentation, for
-    /// reporting pristine/faulted cycle counts and convergence savings.
+    /// Executes an arbitrary plan with injections into the given domain,
+    /// returning the result plus executor instrumentation (pristine and
+    /// faulted cycle counts, convergence and memo savings).
     pub fn run_plan_stats(
         &self,
         domain: FaultDomain,
@@ -789,34 +676,9 @@ impl Campaign {
         }
     }
 
-    /// [`Campaign::run_full_defuse`] plus executor instrumentation.
-    pub fn run_full_defuse_stats(&self) -> (CampaignResult, ExecutorStats) {
-        self.run_plan_stats(FaultDomain::Memory, &self.plan)
-    }
-
-    /// [`Campaign::run_full_defuse_registers`] plus executor
-    /// instrumentation.
-    pub fn run_full_defuse_registers_stats(&self) -> (CampaignResult, ExecutorStats) {
-        self.run_plan_stats(FaultDomain::RegisterFile, self.register_plan())
-    }
-
-    /// Executes a list of memory-domain experiments (any order) and
-    /// returns their outcomes (unordered; callers sort as needed).
-    pub fn run_experiments(&self, experiments: &[Experiment]) -> Vec<ExperimentResult> {
-        self.run_experiments_in(FaultDomain::Memory, experiments)
-    }
-
-    /// Executes a list of experiments with injections into the given
-    /// domain.
-    pub fn run_experiments_in(
-        &self,
-        domain: FaultDomain,
-        experiments: &[Experiment],
-    ) -> Vec<ExperimentResult> {
-        self.run_experiments_stats(domain, experiments).0
-    }
-
-    /// [`Campaign::run_experiments_in`] plus executor instrumentation.
+    /// Executes a list of experiments (any order) with injections into
+    /// the given domain, returning their outcomes (unordered; callers
+    /// sort as needed) plus executor instrumentation.
     ///
     /// Parallel runs partition the cycle-sorted experiment list into one
     /// contiguous chunk per worker, balanced by cycle span (not by
@@ -1407,7 +1269,7 @@ mod tests {
         let c = Campaign::new(&hi_program()).unwrap();
         assert_eq!(c.golden().serial, b"Hi");
         assert_eq!(c.golden().fault_space_size(), 128);
-        let r = c.run_full_defuse();
+        let r = c.run_full_defuse_in(FaultDomain::Memory);
         assert!(r.covers_space());
         // All 16 experiment classes are failures (weight 3 each): F = 48.
         assert_eq!(r.results.len(), 16);
@@ -1416,18 +1278,39 @@ mod tests {
     }
 
     #[test]
+    fn every_domain_space_is_built_once() {
+        let c = Campaign::new(&hi_program()).unwrap();
+        assert!(
+            c.spaces[FaultDomain::Memory as usize].get().is_some(),
+            "the memory space is built at construction"
+        );
+        for domain in FaultDomain::ALL {
+            let plan = c.plan_for(domain);
+            assert_eq!(*plan, c.analysis_for(domain).plan(), "{domain}");
+            assert!(std::ptr::eq(plan, c.plan_for(domain)), "{domain} rebuilt");
+            assert!(
+                std::ptr::eq(c.analysis_for(domain), c.analysis_for(domain)),
+                "{domain} rebuilt"
+            );
+        }
+    }
+
+    #[test]
     fn brute_force_agrees_with_defuse_expansion() {
         // The defining property of def/use pruning: expanding each class
         // result over its coordinates reproduces the brute-force scan.
         let c = Campaign::with_config(&hi_program(), CampaignConfig::sequential()).unwrap();
-        let brute = c.run_brute_force();
-        let pruned = c.run_full_defuse();
+        let brute = c.run_brute_force_in(FaultDomain::Memory);
+        let pruned = c.run_full_defuse_in(FaultDomain::Memory);
         assert_eq!(brute.results.len(), 128);
         assert_eq!(brute.failure_weight(), pruned.failure_weight());
         assert_eq!(brute.benign_weight(), pruned.benign_weight());
 
         // Per-coordinate agreement via the class index.
-        let index = sofi_space::ClassIndex::new(c.analysis(), c.plan());
+        let index = sofi_space::ClassIndex::new(
+            c.analysis_for(FaultDomain::Memory),
+            c.plan_for(FaultDomain::Memory),
+        );
         let by_id: HashMap<u32, Outcome> = pruned
             .results
             .iter()
@@ -1450,8 +1333,9 @@ mod tests {
     #[test]
     fn naive_replay_agrees_with_forking_executor() {
         let c = Campaign::with_config(&hi_program(), CampaignConfig::sequential()).unwrap();
-        let fast = c.run_experiments(&c.plan().experiments);
-        let naive = c.run_experiments_naive(crate::FaultDomain::Memory, &c.plan().experiments);
+        let experiments = &c.plan_for(FaultDomain::Memory).experiments;
+        let (fast, _) = c.run_experiments_stats(FaultDomain::Memory, experiments);
+        let naive = c.run_experiments_naive(FaultDomain::Memory, experiments);
         assert_eq!(fast, naive);
     }
 
@@ -1461,7 +1345,7 @@ mod tests {
         let p = hi_program();
         let seq = Campaign::with_config(&p, CampaignConfig::sequential())
             .unwrap()
-            .run_full_defuse();
+            .run_full_defuse_in(FaultDomain::Memory);
         let par = Campaign::with_config(
             &p,
             CampaignConfig {
@@ -1470,7 +1354,7 @@ mod tests {
             },
         )
         .unwrap()
-        .run_full_defuse();
+        .run_full_defuse_in(FaultDomain::Memory);
         assert_eq!(seq, par);
 
         // …and a plan large enough that every worker gets a
@@ -1485,21 +1369,17 @@ mod tests {
             },
         )
         .unwrap();
-        assert!(
-            seq.plan().experiments.len() >= 64,
-            "memory plan too small ({}) to exercise chunking",
-            seq.plan().experiments.len()
-        );
-        assert!(
-            seq.register_plan().experiments.len() >= 64,
-            "register plan too small ({}) to exercise chunking",
-            seq.register_plan().experiments.len()
-        );
-        assert_eq!(seq.run_full_defuse(), par.run_full_defuse());
-        assert_eq!(
-            seq.run_full_defuse_registers(),
-            par.run_full_defuse_registers()
-        );
+        for domain in [FaultDomain::Memory, FaultDomain::RegisterFile] {
+            assert!(
+                seq.plan_for(domain).experiments.len() >= 64,
+                "{domain} plan too small ({}) to exercise chunking",
+                seq.plan_for(domain).experiments.len()
+            );
+            assert_eq!(
+                seq.run_full_defuse_in(domain),
+                par.run_full_defuse_in(domain)
+            );
+        }
     }
 
     #[test]
@@ -1511,8 +1391,10 @@ mod tests {
         // ~1.2× of the single-worker executor.
         let p = sofi_workloads::fib(sofi_workloads::Variant::Baseline);
         let seq = Campaign::with_config(&p, CampaignConfig::sequential()).unwrap();
-        let (mut seq_res, seq_stats) =
-            seq.run_experiments_stats(FaultDomain::Memory, &seq.plan().experiments);
+        let (mut seq_res, seq_stats) = seq.run_experiments_stats(
+            FaultDomain::Memory,
+            &seq.plan_for(FaultDomain::Memory).experiments,
+        );
         assert_eq!(seq_stats.workers, 1);
         assert!(seq_stats.pristine_cycles > 0);
 
@@ -1524,8 +1406,10 @@ mod tests {
             },
         )
         .unwrap();
-        let (mut par_res, par_stats) =
-            par.run_experiments_stats(FaultDomain::Memory, &par.plan().experiments);
+        let (mut par_res, par_stats) = par.run_experiments_stats(
+            FaultDomain::Memory,
+            &par.plan_for(FaultDomain::Memory).experiments,
+        );
         assert!(par_stats.workers > 1, "expected a parallel run");
 
         seq_res.sort_by_key(|r| r.experiment.id);
@@ -1669,7 +1553,7 @@ mod tests {
             },
         )
         .unwrap();
-        let experiments = c.plan().experiments.clone();
+        let experiments = c.plan_for(FaultDomain::Memory).experiments.clone();
         let naive = c.run_experiments_naive(FaultDomain::Memory, &experiments);
         let (results, stats) = c.run_experiments_stats(FaultDomain::Memory, &experiments);
         assert_eq!(results, naive, "memoization changed outcomes");
@@ -1735,11 +1619,12 @@ mod tests {
             },
         )
         .unwrap();
-        let (results, stats) = c.run_experiments_stats(FaultDomain::Memory, &c.plan().experiments);
+        let experiments = &c.plan_for(FaultDomain::Memory).experiments;
+        let (results, stats) = c.run_experiments_stats(FaultDomain::Memory, experiments);
         assert_eq!(stats.memo_hits, 0);
         assert_eq!(stats.memo_misses, 0);
         assert_eq!(stats.memoized_cycles_saved, 0);
-        let naive = c.run_experiments_naive(FaultDomain::Memory, &c.plan().experiments);
+        let naive = c.run_experiments_naive(FaultDomain::Memory, experiments);
         assert_eq!(results, naive);
     }
 
@@ -1760,11 +1645,11 @@ mod tests {
             },
         )
         .unwrap();
-        let (_, mem_stats) = c.run_experiments_stats(FaultDomain::Memory, &c.plan().experiments);
-        let (reg_results, reg_stats) =
-            c.run_experiments_stats(FaultDomain::RegisterFile, &c.register_plan().experiments);
-        let naive =
-            c.run_experiments_naive(FaultDomain::RegisterFile, &c.register_plan().experiments);
+        let mem = &c.plan_for(FaultDomain::Memory).experiments;
+        let reg = &c.plan_for(FaultDomain::RegisterFile).experiments;
+        let (_, mem_stats) = c.run_experiments_stats(FaultDomain::Memory, mem);
+        let (reg_results, reg_stats) = c.run_experiments_stats(FaultDomain::RegisterFile, reg);
+        let naive = c.run_experiments_naive(FaultDomain::RegisterFile, reg);
         assert_eq!(reg_results, naive);
         assert!(
             mem_stats.memo_misses > 0,
@@ -1808,8 +1693,12 @@ mod tests {
         let p = a.build().unwrap();
 
         let c = Campaign::with_config(&p, CampaignConfig::sequential()).unwrap();
-        let (result, stats) = c.run_full_defuse_stats();
-        let naive = c.run_experiments_naive(FaultDomain::Memory, &c.plan().experiments);
+        let (result, stats) =
+            c.run_plan_stats(FaultDomain::Memory, c.plan_for(FaultDomain::Memory));
+        let naive = c.run_experiments_naive(
+            FaultDomain::Memory,
+            &c.plan_for(FaultDomain::Memory).experiments,
+        );
         let mut naive_sorted = naive;
         naive_sorted.sort_by_key(|r| r.experiment.id);
         assert_eq!(result.results, naive_sorted);
@@ -1834,7 +1723,7 @@ mod tests {
         // instruction executes.
         let p = hi_program();
         let c = Campaign::with_config(&p, CampaignConfig::sequential()).unwrap();
-        let bit = c.plan().experiments[0].coord.bit;
+        let bit = c.plan_for(FaultDomain::Memory).experiments[0].coord.bit;
         let experiments: Vec<Experiment> = [0u64, 1u64]
             .iter()
             .map(|&cycle| Experiment {
@@ -1863,7 +1752,7 @@ mod tests {
         // full prefix sum of injection cycles.
         let p = sofi_workloads::fib(sofi_workloads::Variant::Baseline);
         let c = Campaign::with_config(&p, CampaignConfig::sequential()).unwrap();
-        let mut reversed = c.plan().experiments.clone();
+        let mut reversed = c.plan_for(FaultDomain::Memory).experiments.clone();
         reversed.sort_unstable_by_key(|e| std::cmp::Reverse((e.coord.cycle, e.coord.bit)));
 
         let (mut results, stats) = c.run_experiments_stats(FaultDomain::Memory, &reversed);
@@ -1895,7 +1784,7 @@ mod tests {
             ..CampaignConfig::sequential()
         };
         let whole = Campaign::with_config(&p, config).unwrap();
-        let plan = whole.plan().experiments.clone();
+        let plan = whole.plan_for(FaultDomain::Memory).experiments.clone();
         let (expected, _) = whole.run_experiments_stats(FaultDomain::Memory, &plan);
         let expected: HashMap<u32, ExperimentResult> =
             expected.into_iter().map(|r| (r.experiment.id, r)).collect();
@@ -1945,7 +1834,7 @@ mod tests {
         a.bne(Reg::R1, Reg::R0, top);
         let p = a.build().unwrap();
         let c = Campaign::new(&p).unwrap();
-        let r = c.run_full_defuse();
+        let r = c.run_full_defuse_in(FaultDomain::Memory);
         let outcomes: Vec<Outcome> = r.results.iter().map(|x| x.outcome).collect();
         assert!(
             outcomes.contains(&Outcome::Timeout),
@@ -1970,7 +1859,7 @@ mod tests {
         a.serial_out(Reg::R1);
         let p = a.build().unwrap();
         let c = Campaign::new(&p).unwrap();
-        let r = c.run_full_defuse();
+        let r = c.run_full_defuse_in(FaultDomain::Memory);
         assert!(r.results.iter().all(
             |res| res.outcome == Outcome::DetectedCorrected || res.outcome == Outcome::NoEffect
         ));

@@ -32,7 +32,7 @@
 //! use sofi_isa::{Asm, Reg};
 //! use sofi_trace::GoldenRun;
 //! use sofi_space::DefUseAnalysis;
-//! use sofi_campaign::{Campaign, Outcome};
+//! use sofi_campaign::{Campaign, FaultDomain, Outcome};
 //!
 //! let mut a = Asm::new();
 //! let x = a.data_bytes("x", &[7]);
@@ -41,7 +41,7 @@
 //! let program = a.build()?;
 //!
 //! let campaign = Campaign::new(&program)?;
-//! let result = campaign.run_full_defuse();
+//! let result = campaign.run_full_defuse_in(FaultDomain::Memory);
 //! // Flipping any of the 8 bits of `x` before the read corrupts output.
 //! assert_eq!(result.results.len(), 8);
 //! assert!(result

@@ -4,27 +4,32 @@ use crate::outcome::{Outcome, OutcomeClass};
 use sofi_space::{Experiment, FaultSpace};
 
 /// Which machine component the faults were injected into.
+///
+/// The discriminants are the domain's persistent one-byte tag
+/// ([`FaultDomain::tag`]): the wire protocol and the warm store's context
+/// keys carry it, so renumbering a domain breaks protocol compatibility
+/// and turns every persisted store cold.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum FaultDomain {
     /// Main memory — the paper's primary fault model (§II-C).
-    Memory,
+    Memory = 0,
     /// The general-purpose register file `r1..r15` — the §VI-B
     /// generalization ("every bit in ... the CPU registers ... could be
     /// part of the fault space").
-    RegisterFile,
+    RegisterFile = 1,
     /// Instruction skip at the decode/execute boundary: the next
     /// execution of a chosen ROM slot retires as a one-cycle no-op
     /// (`sofi_machine::CfFault::SkipAt`). Fault-space bit = ROM slot.
-    InstrSkip,
+    InstrSkip = 2,
     /// Opcode corruption: one bit of the fetched instruction word is
     /// flipped before decode (`sofi_machine::CfFault::CorruptAt`).
     /// Fault-space bit = `slot · 32 + word_bit`.
-    OpcodeBit,
+    OpcodeBit = 3,
     /// Branch inversion: the next conditional branch resolves to the
     /// inverted outcome (`sofi_machine::CfFault::InvertBranch`). A
     /// single fault-space column over the cycle axis.
-    BranchInvert,
+    BranchInvert = 4,
 }
 
 impl FaultDomain {
@@ -36,6 +41,17 @@ impl FaultDomain {
         FaultDomain::OpcodeBit,
         FaultDomain::BranchInvert,
     ];
+
+    /// The domain's persistent one-byte tag (`0..=4`, in
+    /// [`FaultDomain::ALL`] order).
+    pub fn tag(self) -> u8 {
+        self as u8
+    }
+
+    /// The domain carrying `tag`, or `None` for an unknown tag.
+    pub fn from_tag(tag: u8) -> Option<FaultDomain> {
+        FaultDomain::ALL.get(usize::from(tag)).copied()
+    }
 
     /// The canonical name (also what [`std::fmt::Display`] prints and
     /// what report artifacts carry).
@@ -254,6 +270,25 @@ mod tests {
         let err = "sram".parse::<FaultDomain>().unwrap_err();
         assert_eq!(err.0, "sram");
         assert!(err.to_string().contains("unknown fault domain 'sram'"));
+    }
+
+    #[test]
+    fn domain_tags_are_pinned() {
+        // Persisted in wire frames and warm-store context keys: these
+        // bytes must never change.
+        let tags = [
+            (FaultDomain::Memory, 0),
+            (FaultDomain::RegisterFile, 1),
+            (FaultDomain::InstrSkip, 2),
+            (FaultDomain::OpcodeBit, 3),
+            (FaultDomain::BranchInvert, 4),
+        ];
+        for (domain, tag) in tags {
+            assert_eq!(domain.tag(), tag, "{domain}");
+            assert_eq!(FaultDomain::from_tag(tag), Some(domain));
+        }
+        assert_eq!(FaultDomain::from_tag(5), None);
+        assert_eq!(FaultDomain::from_tag(u8::MAX), None);
     }
 
     #[test]

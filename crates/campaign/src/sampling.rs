@@ -84,22 +84,13 @@ impl SampledResult {
 }
 
 impl Campaign {
-    /// Runs a sampling campaign of `n` draws in the given mode.
+    /// Runs a sampling campaign of `n` draws in the given mode over
+    /// `domain`'s fault space ([`FaultDomain::RegisterFile`] samples the
+    /// §VI-B register space).
     ///
     /// Only one experiment per *hit class* is conducted; every draw counts
     /// toward the estimate, which is exactly the correct combination of
     /// def/use pruning and sampling prescribed in §III-E.
-    pub fn run_sampled<R: Rng + ?Sized>(
-        &self,
-        n: u64,
-        mode: SamplingMode,
-        rng: &mut R,
-    ) -> SampledResult {
-        self.run_sampled_in(FaultDomain::Memory, n, mode, rng)
-    }
-
-    /// [`Campaign::run_sampled`] with an explicit fault domain
-    /// ([`FaultDomain::RegisterFile`] samples the §VI-B register space).
     pub fn run_sampled_in<R: Rng + ?Sized>(
         &self,
         domain: FaultDomain,
@@ -142,7 +133,7 @@ impl Campaign {
                     .unwrap_or_else(|| panic!("sampled class id {id} is not in the plan"))
             })
             .collect();
-        let mut results = self.run_experiments_in(domain, &experiments);
+        let (mut results, _) = self.run_experiments_stats(domain, &experiments);
         results.sort_by_key(|r| r.experiment.id);
         let outcomes = results
             .into_iter()
@@ -189,7 +180,12 @@ mod tests {
     fn uniform_sampling_estimates_failure_fraction() {
         let c = hi_campaign();
         let mut rng = DefaultRng::seed_from_u64(11);
-        let s = c.run_sampled(20_000, SamplingMode::UniformRaw, &mut rng);
+        let s = c.run_sampled_in(
+            FaultDomain::Memory,
+            20_000,
+            SamplingMode::UniformRaw,
+            &mut rng,
+        );
         assert_eq!(s.population, 128);
         let accounted: u64 = s.benign_draws + s.outcomes.iter().map(|o| o.hits).sum::<u64>();
         assert_eq!(accounted, s.draws);
@@ -204,7 +200,12 @@ mod tests {
     fn weighted_sampling_uses_reduced_population() {
         let c = hi_campaign();
         let mut rng = DefaultRng::seed_from_u64(12);
-        let s = c.run_sampled(5_000, SamplingMode::WeightedClasses, &mut rng);
+        let s = c.run_sampled_in(
+            FaultDomain::Memory,
+            5_000,
+            SamplingMode::WeightedClasses,
+            &mut rng,
+        );
         assert_eq!(s.population, 48); // w' = experiment weight only
         assert_eq!(s.benign_draws, 0);
         // Every class of "hi" fails, so all draws are failures.
@@ -214,12 +215,14 @@ mod tests {
     #[test]
     fn sampling_is_deterministic_given_seed() {
         let c = hi_campaign();
-        let s1 = c.run_sampled(
+        let s1 = c.run_sampled_in(
+            FaultDomain::Memory,
             500,
             SamplingMode::UniformRaw,
             &mut DefaultRng::seed_from_u64(7),
         );
-        let s2 = c.run_sampled(
+        let s2 = c.run_sampled_in(
+            FaultDomain::Memory,
             500,
             SamplingMode::UniformRaw,
             &mut DefaultRng::seed_from_u64(7),
@@ -231,7 +234,12 @@ mod tests {
     fn biased_mode_reports_class_population() {
         let c = hi_campaign();
         let mut rng = DefaultRng::seed_from_u64(13);
-        let s = c.run_sampled(100, SamplingMode::BiasedPerClass, &mut rng);
+        let s = c.run_sampled_in(
+            FaultDomain::Memory,
+            100,
+            SamplingMode::BiasedPerClass,
+            &mut rng,
+        );
         assert_eq!(s.population, 48);
         assert_eq!(s.draws, 100);
     }

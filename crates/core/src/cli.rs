@@ -346,7 +346,7 @@ fn cmd_sample(args: &[String]) -> Result<String, CliError> {
     let campaign =
         Campaign::new(&program).map_err(|e| CliError(format!("golden run failed: {e}")))?;
     let mut rng = DefaultRng::seed_from_u64(seed);
-    let sampled = campaign.run_sampled(draws, mode, &mut rng);
+    let sampled = campaign.run_sampled_in(FaultDomain::Memory, draws, mode, &mut rng);
     let est = extrapolated_failures(&sampled, 0.95);
     let mut out = String::new();
     let _ = writeln!(out, "mode            : {mode:?}");
@@ -377,7 +377,7 @@ fn cmd_diagram(args: &[String]) -> Result<String, CliError> {
     let program = load_program(positional(args, 0)?)?;
     let campaign =
         Campaign::new(&program).map_err(|e| CliError(format!("golden run failed: {e}")))?;
-    fault_space_diagram(campaign.analysis()).ok_or_else(|| {
+    fault_space_diagram(campaign.analysis_for(FaultDomain::Memory)).ok_or_else(|| {
         CliError(format!(
             "fault space too large to draw ({} cycles x {} bits)",
             campaign.golden().cycles,
@@ -482,8 +482,8 @@ fn cmd_compare(args: &[String]) -> Result<String, CliError> {
         .map_err(|e| CliError(format!("{}: golden run failed: {e}", baseline.name)))?;
     let ch = Campaign::new(&hardened)
         .map_err(|e| CliError(format!("{}: golden run failed: {e}", hardened.name)))?;
-    let rb = cb.run_full_defuse();
-    let rh = ch.run_full_defuse();
+    let rb = cb.run_full_defuse_in(FaultDomain::Memory);
+    let rh = ch.run_full_defuse_in(FaultDomain::Memory);
     let cmp = compare_failures(&exact_failures(&rb), &exact_failures(&rh));
     let mut out = String::new();
     let mut t = Table::new(vec!["variant", "w", "F", "coverage"]);

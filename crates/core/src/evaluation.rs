@@ -1,6 +1,8 @@
 //! End-to-end baseline-vs-hardened evaluation.
 
-use sofi_campaign::{Campaign, CampaignConfig, CampaignResult, SampledResult, SamplingMode};
+use sofi_campaign::{
+    Campaign, CampaignConfig, CampaignResult, FaultDomain, SampledResult, SamplingMode,
+};
 use sofi_isa::Program;
 use sofi_metrics::{
     compare_failures, exact_failures, extrapolated_failures, fault_coverage, Comparison, Weighting,
@@ -42,8 +44,8 @@ impl Evaluation {
         let cb = Campaign::with_config(baseline, config)?;
         let ch = Campaign::with_config(hardened, config)?;
         Ok(Evaluation {
-            baseline: cb.run_full_defuse(),
-            hardened: ch.run_full_defuse(),
+            baseline: cb.run_full_defuse_in(FaultDomain::Memory),
+            hardened: ch.run_full_defuse_in(FaultDomain::Memory),
         })
     }
 
@@ -112,8 +114,8 @@ pub fn sampled_pair<R: sofi_rng::Rng + ?Sized>(
     let cb = Campaign::new(baseline)?;
     let ch = Campaign::new(hardened)?;
     Ok((
-        cb.run_sampled(draws, mode, rng),
-        ch.run_sampled(draws, mode, rng),
+        cb.run_sampled_in(FaultDomain::Memory, draws, mode, rng),
+        ch.run_sampled_in(FaultDomain::Memory, draws, mode, rng),
     ))
 }
 

@@ -69,7 +69,9 @@ pub use evaluation::{compare_sampled, sampled_pair, Evaluation};
 /// The types most programs need.
 pub mod prelude {
     pub use crate::evaluation::Evaluation;
-    pub use sofi_campaign::{Campaign, CampaignConfig, Outcome, OutcomeClass, SamplingMode};
+    pub use sofi_campaign::{
+        Campaign, CampaignConfig, FaultDomain, Outcome, OutcomeClass, SamplingMode,
+    };
     pub use sofi_isa::{Asm, Program, Reg};
     pub use sofi_machine::{Machine, RunStatus};
     pub use sofi_metrics::{

@@ -599,11 +599,11 @@ impl Machine {
     /// still running).
     ///
     /// When [`MachineConfig::block_engine`] is on (the default),
-    /// instructions retire through the decode-once µop engine
-    /// ([`crate::block`]): each dispatch executes a burst of pre-decoded
-    /// µops with the run-state check, the external-event scan, and the
-    /// observer's register-event bookkeeping hoisted out of the inner
-    /// loop. Every cycle-exact boundary is enforced by capping the burst
+    /// instructions retire through the decode-once µop engine (the
+    /// private `block` module): each dispatch executes a burst of
+    /// pre-decoded µops with the run-state check, the external-event
+    /// scan, and the observer's register-event bookkeeping hoisted out of
+    /// the inner loop. Every cycle-exact boundary is enforced by capping the burst
     /// budget: the `cycle` bound itself (injection points, checkpoint
     /// and convergence probes, cycle limits) and external-event latch
     /// cycles, which fall back to [`Machine::step_observed`] for the
@@ -1098,22 +1098,6 @@ fn finish_serial_hash(mut acc: (u64, u64), tail: &[u8], len: usize) -> (u64, u64
 /// architectural state for machines running the same program.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct StateDigest(u128);
-
-impl StateDigest {
-    /// The raw digest bits, for serialization (the daemon's persistent
-    /// warm store journals digests and compares them across processes —
-    /// sound because the digest is purely content-determined).
-    #[inline]
-    pub fn to_bits(self) -> u128 {
-        self.0
-    }
-
-    /// Rebuilds a digest from [`StateDigest::to_bits`].
-    #[inline]
-    pub fn from_bits(bits: u128) -> StateDigest {
-        StateDigest(bits)
-    }
-}
 
 /// Injectively encodes a trap cause into a word for the state digest.
 /// Variant tags sit in the low byte; payloads (which are ≤ 34 bits) are

@@ -24,11 +24,6 @@ pub struct OutcomeBreakdown {
 }
 
 impl OutcomeBreakdown {
-    /// The count for one kind by its [`Outcome::kind_index`].
-    pub fn count_of(&self, outcome: Outcome) -> f64 {
-        self.counts[outcome.kind_index()]
-    }
-
     /// Sum over all failure kinds (everything except the two benign ones).
     pub fn failure_total(&self) -> f64 {
         self.counts[2..].iter().sum()
@@ -95,7 +90,7 @@ pub fn sampled_breakdown(sampled: &SampledResult, confidence: f64) -> OutcomeBre
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sofi_campaign::{Campaign, SamplingMode};
+    use sofi_campaign::{Campaign, FaultDomain, SamplingMode};
     use sofi_isa::{Asm, Reg};
     use sofi_rng::DefaultRng;
 
@@ -120,7 +115,7 @@ mod tests {
     #[test]
     fn exact_breakdown_sums_to_space() {
         let c = Campaign::new(&multi_mode_program()).unwrap();
-        let r = c.run_full_defuse();
+        let r = c.run_full_defuse_in(FaultDomain::Memory);
         let b = outcome_breakdown(&r);
         assert!(b.exact);
         let total: f64 = b.counts.iter().sum();
@@ -134,9 +129,14 @@ mod tests {
     #[test]
     fn sampled_breakdown_matches_exact_per_kind() {
         let c = Campaign::new(&multi_mode_program()).unwrap();
-        let exact = outcome_breakdown(&c.run_full_defuse());
+        let exact = outcome_breakdown(&c.run_full_defuse_in(FaultDomain::Memory));
         let mut rng = DefaultRng::seed_from_u64(3);
-        let s = c.run_sampled(40_000, SamplingMode::UniformRaw, &mut rng);
+        let s = c.run_sampled_in(
+            FaultDomain::Memory,
+            40_000,
+            SamplingMode::UniformRaw,
+            &mut rng,
+        );
         let est = sampled_breakdown(&s, 0.99);
         for i in 0..8 {
             assert!(
@@ -152,7 +152,7 @@ mod tests {
     #[test]
     fn failure_rows_sorted() {
         let c = Campaign::new(&multi_mode_program()).unwrap();
-        let b = outcome_breakdown(&c.run_full_defuse());
+        let b = outcome_breakdown(&c.run_full_defuse_in(FaultDomain::Memory));
         let rows = b.failure_rows();
         for pair in rows.windows(2) {
             assert!(pair[0].1 >= pair[1].1);

@@ -35,7 +35,7 @@ pub enum Weighting {
 ///
 /// ```
 /// # use sofi_isa::{Asm, Reg};
-/// # use sofi_campaign::Campaign;
+/// # use sofi_campaign::{Campaign, FaultDomain};
 /// use sofi_metrics::{fault_coverage, Weighting};
 /// # let mut a = Asm::with_name("hi");
 /// # let msg = a.data_space("msg", 2);
@@ -48,7 +48,7 @@ pub enum Weighting {
 /// # a.lb(Reg::R2, Reg::R0, msg.at(1).offset());
 /// # a.serial_out(Reg::R2);
 /// # let campaign = Campaign::new(&a.build()?)?;
-/// let result = campaign.run_full_defuse();
+/// let result = campaign.run_full_defuse_in(FaultDomain::Memory);
 /// // The paper's "Hi" benchmark: c = 1 − 48/128 = 62.5 %.
 /// assert_eq!(fault_coverage(&result, Weighting::Weighted), 0.625);
 /// # Ok::<(), Box<dyn std::error::Error>>(())

@@ -31,7 +31,7 @@ pub struct FailureEstimate {
 ///
 /// ```
 /// # use sofi_isa::{Asm, Reg};
-/// # use sofi_campaign::Campaign;
+/// # use sofi_campaign::{Campaign, FaultDomain};
 /// # let mut a = Asm::with_name("hi");
 /// # let msg = a.data_space("msg", 2);
 /// # a.li(Reg::R1, 'H' as i32);
@@ -43,7 +43,7 @@ pub struct FailureEstimate {
 /// # a.lb(Reg::R2, Reg::R0, msg.at(1).offset());
 /// # a.serial_out(Reg::R2);
 /// # let campaign = Campaign::new(&a.build()?)?;
-/// let result = campaign.run_full_defuse();
+/// let result = campaign.run_full_defuse_in(FaultDomain::Memory);
 /// let f = sofi_metrics::exact_failures(&result);
 /// assert_eq!(f.failures, 48.0); // the paper's "Hi" benchmark
 /// assert!(f.exact);
@@ -85,7 +85,7 @@ pub fn extrapolated_failures(sampled: &SampledResult, confidence: f64) -> Failur
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sofi_campaign::{Campaign, SamplingMode};
+    use sofi_campaign::{Campaign, FaultDomain, SamplingMode};
     use sofi_isa::{Asm, Reg};
     use sofi_rng::DefaultRng;
 
@@ -106,9 +106,14 @@ mod tests {
     #[test]
     fn raw_space_extrapolation_recovers_exact_f() {
         let c = hi_campaign();
-        let exact = exact_failures(&c.run_full_defuse());
+        let exact = exact_failures(&c.run_full_defuse_in(FaultDomain::Memory));
         let mut rng = DefaultRng::seed_from_u64(21);
-        let s = c.run_sampled(40_000, SamplingMode::UniformRaw, &mut rng);
+        let s = c.run_sampled_in(
+            FaultDomain::Memory,
+            40_000,
+            SamplingMode::UniformRaw,
+            &mut rng,
+        );
         let est = extrapolated_failures(&s, 0.95);
         assert!(!est.exact);
         assert!(
@@ -123,9 +128,14 @@ mod tests {
     #[test]
     fn weighted_class_extrapolation_recovers_exact_f() {
         let c = hi_campaign();
-        let exact = exact_failures(&c.run_full_defuse());
+        let exact = exact_failures(&c.run_full_defuse_in(FaultDomain::Memory));
         let mut rng = DefaultRng::seed_from_u64(22);
-        let s = c.run_sampled(5_000, SamplingMode::WeightedClasses, &mut rng);
+        let s = c.run_sampled_in(
+            FaultDomain::Memory,
+            5_000,
+            SamplingMode::WeightedClasses,
+            &mut rng,
+        );
         let est = extrapolated_failures(&s, 0.95);
         // Every "hi" class fails, so the w'-restricted estimate is exact.
         assert_eq!(est.failures, exact.failures);
@@ -136,12 +146,14 @@ mod tests {
         // Pitfall 3 Corollary 2: the raw F_sampled depends on N_sampled,
         // the extrapolated value does not.
         let c = hi_campaign();
-        let s_small = c.run_sampled(
+        let s_small = c.run_sampled_in(
+            FaultDomain::Memory,
             1_000,
             SamplingMode::UniformRaw,
             &mut DefaultRng::seed_from_u64(1),
         );
-        let s_big = c.run_sampled(
+        let s_big = c.run_sampled_in(
+            FaultDomain::Memory,
             32_000,
             SamplingMode::UniformRaw,
             &mut DefaultRng::seed_from_u64(2),

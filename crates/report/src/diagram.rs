@@ -131,14 +131,14 @@ fn analysis_events(analysis: &DefUseAnalysis) -> Vec<(u64, Vec<(u64, bool)>)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sofi_campaign::Campaign;
+    use sofi_campaign::{Campaign, FaultDomain};
     use sofi_isa::{Asm, Reg};
     use sofi_trace::GoldenRun;
 
     fn hi_analysis() -> (DefUseAnalysis, Campaign) {
         let p = sofi_workloads_hi();
         let c = Campaign::new(&p).unwrap();
-        (c.analysis().clone(), c)
+        (c.analysis_for(FaultDomain::Memory).clone(), c)
     }
 
     /// Local copy of the "Hi" generator to avoid a dependency cycle.
@@ -171,7 +171,7 @@ mod tests {
     #[test]
     fn hi_outcome_diagram_marks_failures() {
         let (d, c) = hi_analysis();
-        let r = c.run_full_defuse();
+        let r = c.run_full_defuse_in(FaultDomain::Memory);
         let art = outcome_diagram(&d, &r).unwrap();
         // Every experiment class of "hi" fails: 'x' everywhere, no 'o'.
         assert!(art.contains('x'));

@@ -12,7 +12,7 @@
 //!   parser (the parser exists for tests and for consumers that want to
 //!   inspect artifacts without a full deserialization framework);
 //! * [`ToJson`] — the conversion trait; implemented here for the suite's
-//!   result types and derivable for flat structs via [`impl_to_json!`];
+//!   result types and derivable for flat structs via [`impl_to_json!`](crate::impl_to_json);
 //! * [`to_json`] / [`write_json`] — the entry points the CLI and the
 //!   bench binaries use.
 
@@ -113,14 +113,6 @@ impl Json {
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The boolean value, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match *self {
-            Json::Bool(b) => Some(b),
             _ => None,
         }
     }
@@ -505,7 +497,7 @@ impl<'a> Parser<'a> {
 ///
 /// Implemented for primitives, strings, options, slices and the suite's
 /// result types. Flat report structs can derive an implementation with
-/// [`impl_to_json!`].
+/// [`impl_to_json!`](crate::impl_to_json).
 pub trait ToJson {
     /// The JSON representation of `self`.
     fn to_json(&self) -> Json;

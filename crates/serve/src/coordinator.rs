@@ -1030,7 +1030,7 @@ fn run_job(inner: &Inner, id: u64, spec: &JobSpec, recovered: &HashSet<u32>, job
         Ok(p) => p,
         Err(e) => return fail_job(inner, id, format!("assembly failed: {e}")),
     };
-    let campaign = match Campaign::with_config_telemetry(&program, spec.config, job_tel) {
+    let campaign = match Campaign::prepare(&program, spec.config, Vec::new(), job_tel) {
         Ok(c) => c,
         Err(e) => return fail_job(inner, id, format!("golden run failed: {e}")),
     };
@@ -1254,7 +1254,7 @@ mod tests {
 
         let program = assemble_text("hi", HI).unwrap();
         let campaign = Campaign::with_config(&program, CampaignConfig::sequential()).unwrap();
-        assert_eq!(result, campaign.run_full_defuse());
+        assert_eq!(result, campaign.run_full_defuse_in(FaultDomain::Memory));
         assert_eq!(stats.experiments, result.results.len() as u64);
         drop(coord);
         std::fs::remove_file(&path).unwrap();
@@ -1461,7 +1461,7 @@ mod tests {
         let campaign = Campaign::with_config(&program, CampaignConfig::sequential()).unwrap();
         assert_eq!(
             result,
-            campaign.run_full_defuse(),
+            campaign.run_full_defuse_in(FaultDomain::Memory),
             "remote-shard result drifted"
         );
         drop(coord);
@@ -1520,7 +1520,7 @@ mod tests {
             CampaignConfig::sequential(),
         )
         .unwrap();
-        assert_eq!(result, campaign.run_full_defuse());
+        assert_eq!(result, campaign.run_full_defuse_in(FaultDomain::Memory));
         drop(coord);
         std::fs::remove_file(&path).unwrap();
     }

@@ -65,13 +65,7 @@ fn fnv1a64_from(mut state: u64, bytes: &[u8]) -> u64 {
 pub fn context_key(source: &str, domain: FaultDomain, config: &CampaignConfig) -> ContextKey {
     let mut ctx = Vec::with_capacity(source.len() + 32);
     ctx.extend_from_slice(source.as_bytes());
-    ctx.push(match domain {
-        FaultDomain::Memory => 0,
-        FaultDomain::RegisterFile => 1,
-        FaultDomain::InstrSkip => 2,
-        FaultDomain::OpcodeBit => 3,
-        FaultDomain::BranchInvert => 4,
-    });
+    ctx.push(domain.tag());
     ctx.extend_from_slice(&config.timeout_factor.to_le_bytes());
     ctx.extend_from_slice(&config.timeout_slack.to_le_bytes());
     ctx.extend_from_slice(&(config.machine.serial_limit as u64).to_le_bytes());

@@ -230,25 +230,13 @@ impl<'a> Reader<'a> {
 /// domains) are a protocol-v6 addition; a v5 peer never sees them because
 /// version negotiation rejects the session first.
 pub fn put_domain(w: &mut Writer, d: FaultDomain) {
-    w.u8(match d {
-        FaultDomain::Memory => 0,
-        FaultDomain::RegisterFile => 1,
-        FaultDomain::InstrSkip => 2,
-        FaultDomain::OpcodeBit => 3,
-        FaultDomain::BranchInvert => 4,
-    });
+    w.u8(d.tag());
 }
 
 /// Decodes a [`FaultDomain`].
 pub fn take_domain(r: &mut Reader<'_>) -> Result<FaultDomain, WireError> {
-    match r.u8()? {
-        0 => Ok(FaultDomain::Memory),
-        1 => Ok(FaultDomain::RegisterFile),
-        2 => Ok(FaultDomain::InstrSkip),
-        3 => Ok(FaultDomain::OpcodeBit),
-        4 => Ok(FaultDomain::BranchInvert),
-        t => Err(r.err(format!("bad fault-domain tag {t}"))),
-    }
+    let t = r.u8()?;
+    FaultDomain::from_tag(t).ok_or_else(|| r.err(format!("bad fault-domain tag {t}")))
 }
 
 fn put_width(w: &mut Writer, width: MemWidth) {

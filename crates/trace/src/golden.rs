@@ -75,24 +75,12 @@ impl GoldenRun {
     /// with a nonzero code — a benchmark must be correct before its fault
     /// susceptibility can be measured.
     pub fn capture(program: &Program, cycle_limit: u64) -> Result<GoldenRun, GoldenError> {
-        Self::capture_with_config(program, cycle_limit, MachineConfig::default())
+        Self::capture_with_events(program, cycle_limit, MachineConfig::default(), Vec::new())
     }
 
-    /// [`GoldenRun::capture`] with explicit machine limits.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`GoldenRun::capture`].
-    pub fn capture_with_config(
-        program: &Program,
-        cycle_limit: u64,
-        config: MachineConfig,
-    ) -> Result<GoldenRun, GoldenError> {
-        Self::capture_with_events(program, cycle_limit, config, Vec::new())
-    }
-
-    /// [`GoldenRun::capture`] with a deterministic external-event schedule
-    /// (§II-C: replayed inputs keep the run reproducible).
+    /// [`GoldenRun::capture`] with explicit machine limits and a
+    /// deterministic external-event schedule (§II-C: replayed inputs keep
+    /// the run reproducible).
     ///
     /// # Errors
     ///

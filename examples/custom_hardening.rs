@@ -100,7 +100,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Step 1: where do the baseline's failures live?
     let baseline = build(Guard::None);
     let campaign = Campaign::new(&baseline)?;
-    let result = campaign.run_full_defuse();
+    let result = campaign.run_full_defuse_in(FaultDomain::Memory);
     let map = byte_vulnerability(&result);
     println!("baseline vulnerability hotspots (per-byte failure fraction):");
     for (addr, v) in map.hotspots().into_iter().take(6) {
@@ -127,7 +127,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for guard in [Guard::SumDmr, Guard::Tmr, Guard::HashDmr] {
         let program = build(guard);
         let campaign = Campaign::new(&program)?;
-        let res = campaign.run_full_defuse();
+        let res = campaign.run_full_defuse_in(FaultDomain::Memory);
         let f = exact_failures(&res);
         let cmp = compare_failures(&f_base, &f);
         println!(

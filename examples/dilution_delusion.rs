@@ -15,7 +15,7 @@ use sofi::workloads::{hi, hi_dft_prime};
 
 fn report(program: &sofi::isa::Program) -> Result<(u64, u64, f64), Box<dyn std::error::Error>> {
     let campaign = Campaign::new(program)?;
-    let result = campaign.run_full_defuse();
+    let result = campaign.run_full_defuse_in(FaultDomain::Memory);
     Ok((
         result.space.size(),
         result.failure_weight(),

@@ -39,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 3. Prepare the campaign: golden run + def/use pruning of the fault
     //    space (every (cycle, bit) coordinate of RAM over the runtime).
     let campaign = Campaign::new(&program)?;
-    let plan = campaign.plan();
+    let plan = campaign.plan_for(FaultDomain::Memory);
     println!(
         "fault space: {} coordinates, pruned to {} experiments (x{:.0} reduction)",
         plan.space.size(),
@@ -49,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 4. Full fault-space scan: every experiment is one forked machine
     //    with one bit flipped, classified against the golden run.
-    let result = campaign.run_full_defuse();
+    let result = campaign.run_full_defuse_in(FaultDomain::Memory);
     println!(
         "weighted failures F = {} of w = {} -> coverage {:.1}%",
         result.failure_weight(),
@@ -60,7 +60,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 5. The same failure count, estimated from 10k random samples — with
     //    the extrapolation Pitfall 3 (Corollary 2) requires.
     let mut rng = sofi_rng::DefaultRng::seed_from_u64(42);
-    let sampled = campaign.run_sampled(10_000, SamplingMode::UniformRaw, &mut rng);
+    let sampled = campaign.run_sampled_in(
+        FaultDomain::Memory,
+        10_000,
+        SamplingMode::UniformRaw,
+        &mut rng,
+    );
     let estimate = extrapolated_failures(&sampled, 0.95);
     println!(
         "sampled estimate: F = {:.0}  (95% CI [{:.0}, {:.0}], {} experiments actually run)",

@@ -13,7 +13,9 @@ use sofi_rng::DefaultRng;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let program = bin_sem2(Variant::Baseline);
     let campaign = Campaign::new(&program)?;
-    let exact = campaign.run_full_defuse().failure_weight();
+    let exact = campaign
+        .run_full_defuse_in(FaultDomain::Memory)
+        .failure_weight();
     println!("exact weighted failure count (full scan): {exact}");
     println!();
     println!("   draws   F_raw (useless)   F_extrapolated   95% CI               experiments run");
@@ -21,7 +23,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     for draws in [100u64, 1_000, 10_000, 100_000] {
         let mut rng = DefaultRng::seed_from_u64(2024);
-        let sampled = campaign.run_sampled(draws, SamplingMode::UniformRaw, &mut rng);
+        let sampled = campaign.run_sampled_in(
+            FaultDomain::Memory,
+            draws,
+            SamplingMode::UniformRaw,
+            &mut rng,
+        );
         let est = extrapolated_failures(&sampled, 0.95);
         let hit = est.ci.0 <= exact as f64 && exact as f64 <= est.ci.1;
         println!(

@@ -23,6 +23,7 @@ use sofi::isa::{Asm, Program, Reg};
 use sofi::machine::{CfFault, ExternalEvent, Machine, MachineConfig, REG_FILE_BITS};
 use sofi::space::{Experiment, FaultCoord};
 use sofi_rng::{DefaultRng, Rng};
+use sofi_telemetry::Registry;
 
 const DATA_BYTES: u32 = 48;
 
@@ -255,9 +256,14 @@ fn fuzz_block_engine_campaign_matches_stepping_naive() {
             m.run(100_000);
             random_events(&mut rng, m.cycle())
         };
-        let blocks =
-            Campaign::with_events(&program, CampaignConfig::sequential(), events.clone()).unwrap();
-        let stepping = Campaign::with_events(
+        let blocks = Campaign::prepare(
+            &program,
+            CampaignConfig::sequential(),
+            events.clone(),
+            Registry::disabled(),
+        )
+        .unwrap();
+        let stepping = Campaign::prepare(
             &program,
             CampaignConfig {
                 convergence: false,
@@ -269,6 +275,7 @@ fn fuzz_block_engine_campaign_matches_stepping_naive() {
                 ..CampaignConfig::sequential()
             },
             events,
+            Registry::disabled(),
         )
         .unwrap();
         let cycles = blocks.golden().cycles;

@@ -12,6 +12,7 @@
 use sofi::campaign::{Campaign, CampaignConfig, FaultDomain};
 use sofi::trace::GoldenRun;
 use sofi::workloads::{all_baselines, sensor, sensor_events};
+use sofi_telemetry::Registry;
 
 /// The same campaign configuration with the block engine forced off.
 fn stepping(mut config: CampaignConfig) -> CampaignConfig {
@@ -44,10 +45,8 @@ fn assert_golden_eq(blocks: &GoldenRun, steps: &GoldenRun, name: &str) {
 /// paths, compared experiment-by-experiment.
 fn assert_campaigns_identical(blocks: &Campaign, steps: &Campaign, name: &str) {
     assert_golden_eq(blocks.golden(), steps.golden(), name);
-    for (domain, plan) in [
-        (FaultDomain::Memory, blocks.plan()),
-        (FaultDomain::RegisterFile, blocks.register_plan()),
-    ] {
+    for domain in [FaultDomain::Memory, FaultDomain::RegisterFile] {
+        let plan = blocks.plan_for(domain);
         let step_naive = steps.run_experiments_naive(domain, &plan.experiments);
         let block_naive = blocks.run_experiments_naive(domain, &plan.experiments);
         assert_eq!(
@@ -83,12 +82,18 @@ fn block_engine_matches_step_interpreter_with_external_events() {
     // must fall back to single-stepping for even mid-run; the sensor
     // workload's schedule exercises every delivery.
     let program = sensor();
-    let blocks = Campaign::with_events(&program, CampaignConfig::default(), sensor_events())
-        .expect("golden");
-    let steps = Campaign::with_events(
+    let blocks = Campaign::prepare(
+        &program,
+        CampaignConfig::default(),
+        sensor_events(),
+        Registry::disabled(),
+    )
+    .expect("golden");
+    let steps = Campaign::prepare(
         &program,
         stepping(CampaignConfig::default()),
         sensor_events(),
+        Registry::disabled(),
     )
     .expect("golden");
     assert_campaigns_identical(&blocks, &steps, "sensor");

@@ -12,10 +12,8 @@ fn converging_executor_matches_naive_on_every_workload() {
     let mut total_saved = 0u64;
     for program in all_baselines() {
         let campaign = Campaign::new(&program).expect("golden run");
-        for (domain, plan) in [
-            (FaultDomain::Memory, campaign.plan()),
-            (FaultDomain::RegisterFile, campaign.register_plan()),
-        ] {
+        for domain in [FaultDomain::Memory, FaultDomain::RegisterFile] {
+            let plan = campaign.plan_for(domain);
             let (results, stats) = campaign.run_experiments_stats(domain, &plan.experiments);
             let naive = campaign.run_experiments_naive(domain, &plan.experiments);
             assert_eq!(

@@ -9,7 +9,7 @@
 //!   exposed longer), never down: either way the transformation is no
 //!   fault-tolerance mechanism, yet coverage rises.
 
-use sofi::campaign::{Campaign, CampaignConfig};
+use sofi::campaign::{Campaign, CampaignConfig, FaultDomain};
 use sofi::harden::{load_dilution, memory_dilution, nop_dilution, nop_dilution_tail};
 use sofi::isa::Program;
 use sofi::metrics::{fault_coverage, Weighting};
@@ -19,7 +19,7 @@ use sofi_rng::{DefaultRng, Rng};
 fn scan(program: &Program) -> (u64, f64) {
     let campaign =
         Campaign::with_config(program, CampaignConfig::sequential()).expect("golden run");
-    let result = campaign.run_full_defuse();
+    let result = campaign.run_full_defuse_in(FaultDomain::Memory);
     (
         result.failure_weight(),
         fault_coverage(&result, Weighting::Weighted),

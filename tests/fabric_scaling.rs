@@ -149,7 +149,7 @@ fn scaling_table_1_2_4_workers() {
         .unwrap_or(&programs[0]);
     let expected = Campaign::with_config(program, scaling_config())
         .unwrap()
-        .run_full_defuse();
+        .run_full_defuse_in(FaultDomain::Memory);
 
     let samples: Vec<Sample> = [1usize, 2, 4]
         .iter()

@@ -41,10 +41,8 @@ fn memoized_executor_matches_naive_on_every_workload() {
             },
         )
         .expect("golden run");
-        for (domain, plan) in [
-            (FaultDomain::Memory, memoed.plan()),
-            (FaultDomain::RegisterFile, memoed.register_plan()),
-        ] {
+        for domain in [FaultDomain::Memory, FaultDomain::RegisterFile] {
+            let plan = memoed.plan_for(domain);
             let expected = naive.run_experiments_naive(domain, &plan.experiments);
 
             memoed.reset_memo();
@@ -89,10 +87,8 @@ fn memoized_executor_matches_naive_composed_with_convergence() {
     // separately from each layer's own oracle.
     for program in all_baselines() {
         let campaign = Campaign::new(&program).expect("golden run");
-        for (domain, plan) in [
-            (FaultDomain::Memory, campaign.plan()),
-            (FaultDomain::RegisterFile, campaign.register_plan()),
-        ] {
+        for domain in [FaultDomain::Memory, FaultDomain::RegisterFile] {
+            let plan = campaign.plan_for(domain);
             let (results, _) = campaign.run_experiments_stats(domain, &plan.experiments);
             let naive = campaign.run_experiments_naive(domain, &plan.experiments);
             assert_eq!(

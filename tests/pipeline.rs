@@ -1,6 +1,6 @@
 //! End-to-end pipeline invariants across every benchmark in the suite.
 
-use sofi::campaign::{Campaign, CampaignConfig};
+use sofi::campaign::{Campaign, CampaignConfig, FaultDomain};
 use sofi::workloads::all_baselines;
 
 #[test]
@@ -9,22 +9,24 @@ fn every_baseline_campaign_upholds_invariants() {
         let campaign = Campaign::new(&program).expect("golden run");
         // The plan partitions the fault space exactly.
         assert!(
-            campaign.analysis().is_exact_partition(),
+            campaign
+                .analysis_for(FaultDomain::Memory)
+                .is_exact_partition(),
             "{}: def/use classes must tile the fault space",
             program.name
         );
         assert_eq!(
-            campaign.plan().total_weight(),
+            campaign.plan_for(FaultDomain::Memory).total_weight(),
             campaign.golden().fault_space_size(),
             "{}: plan must cover w",
             program.name
         );
 
-        let result = campaign.run_full_defuse();
+        let result = campaign.run_full_defuse_in(FaultDomain::Memory);
         assert!(result.covers_space(), "{}", program.name);
         // Weighted failure count never exceeds the experiment weight.
         assert!(
-            result.failure_weight() <= campaign.plan().experiment_weight(),
+            result.failure_weight() <= campaign.plan_for(FaultDomain::Memory).experiment_weight(),
             "{}",
             program.name
         );
@@ -42,8 +44,8 @@ fn every_baseline_campaign_upholds_invariants() {
 fn campaigns_are_deterministic() {
     let program = sofi::workloads::crc32();
     let campaign = Campaign::new(&program).unwrap();
-    let r1 = campaign.run_full_defuse();
-    let r2 = campaign.run_full_defuse();
+    let r1 = campaign.run_full_defuse_in(FaultDomain::Memory);
+    let r2 = campaign.run_full_defuse_in(FaultDomain::Memory);
     assert_eq!(r1, r2);
 }
 
@@ -57,7 +59,7 @@ fn thread_count_does_not_change_results() {
             ..CampaignConfig::default()
         };
         let campaign = Campaign::with_config(&program, config).unwrap();
-        results.push(campaign.run_full_defuse());
+        results.push(campaign.run_full_defuse_in(FaultDomain::Memory));
     }
     assert_eq!(results[0], results[1]);
     assert_eq!(results[1], results[2]);

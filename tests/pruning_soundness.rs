@@ -189,15 +189,18 @@ fn pruned_scan_equals_brute_force() {
         let campaign =
             Campaign::with_config(&program, CampaignConfig::sequential()).expect("golden run");
 
-        let pruned = campaign.run_full_defuse();
-        let brute = campaign.run_brute_force();
+        let pruned = campaign.run_full_defuse_in(FaultDomain::Memory);
+        let brute = campaign.run_brute_force_in(FaultDomain::Memory);
 
         // Identical aggregate accounting...
         assert_eq!(brute.failure_weight(), pruned.failure_weight());
         assert_eq!(brute.benign_weight(), pruned.benign_weight());
 
         // ...and identical per-coordinate classification.
-        let index = ClassIndex::new(campaign.analysis(), campaign.plan());
+        let index = ClassIndex::new(
+            campaign.analysis_for(FaultDomain::Memory),
+            campaign.plan_for(FaultDomain::Memory),
+        );
         let by_id: HashMap<u32, OutcomeClass> = pruned
             .results
             .iter()

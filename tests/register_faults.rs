@@ -25,11 +25,13 @@ fn flip_reg_bit_changes_the_right_register() {
 #[test]
 fn register_plan_covers_the_register_space() {
     let c = Campaign::new(&sofi::workloads::fib(sofi::workloads::Variant::Baseline)).unwrap();
-    let plan = c.register_plan();
+    let plan = c.plan_for(FaultDomain::RegisterFile);
     assert_eq!(plan.space.bits, REG_FILE_BITS);
     assert_eq!(plan.space.cycles, c.golden().cycles);
     assert_eq!(plan.total_weight(), plan.space.size());
-    assert!(c.register_analysis().is_exact_partition());
+    assert!(c
+        .analysis_for(FaultDomain::RegisterFile)
+        .is_exact_partition());
 }
 
 #[test]
@@ -37,7 +39,7 @@ fn register_campaign_finds_failures() {
     // fib keeps its working set in registers between memory accesses;
     // register flips must produce failures.
     let c = Campaign::new(&sofi::workloads::fib(sofi::workloads::Variant::Baseline)).unwrap();
-    let r = c.run_full_defuse_registers();
+    let r = c.run_full_defuse_in(FaultDomain::RegisterFile);
     assert_eq!(r.domain, FaultDomain::RegisterFile);
     assert!(r.covers_space());
     assert!(r.failure_weight() > 0);
@@ -58,9 +60,11 @@ fn read_modify_write_registers_prune_correctly() {
     a.serial_out(Reg::R1);
     let p = a.build().unwrap();
     let c = Campaign::with_config(&p, CampaignConfig::sequential()).unwrap();
-    assert!(c.register_analysis().is_exact_partition());
-    let pruned = c.run_full_defuse_registers();
-    let brute = c.run_brute_force_registers();
+    assert!(c
+        .analysis_for(FaultDomain::RegisterFile)
+        .is_exact_partition());
+    let pruned = c.run_full_defuse_in(FaultDomain::RegisterFile);
+    let brute = c.run_brute_force_in(FaultDomain::RegisterFile);
     assert_eq!(pruned.failure_weight(), brute.failure_weight());
 }
 
@@ -69,7 +73,9 @@ fn register_sampling_extrapolates_to_exact() {
     use sofi::campaign::SamplingMode;
     use sofi::metrics::extrapolated_failures;
     let c = Campaign::new(&sofi::workloads::crc32()).unwrap();
-    let exact = c.run_full_defuse_registers().failure_weight() as f64;
+    let exact = c
+        .run_full_defuse_in(FaultDomain::RegisterFile)
+        .failure_weight() as f64;
     let mut rng = sofi_rng::DefaultRng::seed_from_u64(17);
     let s = c.run_sampled_in(
         FaultDomain::RegisterFile,
@@ -150,13 +156,16 @@ fn register_pruning_equals_brute_force() {
         let program = build(&steps);
         let campaign =
             Campaign::with_config(&program, CampaignConfig::sequential()).expect("golden run");
-        let pruned = campaign.run_full_defuse_registers();
-        let brute = campaign.run_brute_force_registers();
+        let pruned = campaign.run_full_defuse_in(FaultDomain::RegisterFile);
+        let brute = campaign.run_brute_force_in(FaultDomain::RegisterFile);
 
         assert_eq!(brute.failure_weight(), pruned.failure_weight());
         assert_eq!(brute.benign_weight(), pruned.benign_weight());
 
-        let index = ClassIndex::new(campaign.register_analysis(), campaign.register_plan());
+        let index = ClassIndex::new(
+            campaign.analysis_for(FaultDomain::RegisterFile),
+            campaign.plan_for(FaultDomain::RegisterFile),
+        );
         let by_id: HashMap<u32, OutcomeClass> = pruned
             .results
             .iter()

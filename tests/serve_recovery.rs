@@ -206,7 +206,7 @@ fn journal_with_torn_tail_still_recovers() {
     let (result, _) = sched.result(job).unwrap();
     let program = assemble_text("hi", PROG).unwrap();
     let campaign = Campaign::with_config(&program, CampaignConfig::default()).unwrap();
-    assert_eq!(result, campaign.run_full_defuse());
+    assert_eq!(result, campaign.run_full_defuse_in(FaultDomain::Memory));
     drop(sched);
     std::fs::remove_file(&journal).unwrap();
 }

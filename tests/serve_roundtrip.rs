@@ -47,13 +47,7 @@ fn spec(domain: FaultDomain) -> JobSpec {
 fn in_process(domain: FaultDomain) -> sofi_campaign::CampaignResult {
     let program = assemble_text("hi", PROG).unwrap();
     let campaign = Campaign::with_config(&program, CampaignConfig::default()).unwrap();
-    match domain {
-        // The legacy entry points, so the wire test also pins them to
-        // the generic dispatch.
-        FaultDomain::Memory => campaign.run_full_defuse(),
-        FaultDomain::RegisterFile => campaign.run_full_defuse_registers(),
-        _ => campaign.run_full_defuse_in(domain),
-    }
+    campaign.run_full_defuse_in(domain)
 }
 
 #[test]

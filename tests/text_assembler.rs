@@ -1,7 +1,7 @@
 //! The text assembler as an end-to-end front end: `.s` sources assemble,
 //! execute, and feed campaigns exactly like builder-generated programs.
 
-use sofi::campaign::Campaign;
+use sofi::campaign::{Campaign, FaultDomain};
 use sofi::isa::assemble_text;
 use sofi::machine::{Machine, RunStatus};
 
@@ -27,7 +27,9 @@ fn textual_hi_reproduces_figure3() {
     assert_eq!(m.serial(), b"Hi");
     assert_eq!(m.cycle(), 8);
 
-    let result = Campaign::new(&program).unwrap().run_full_defuse();
+    let result = Campaign::new(&program)
+        .unwrap()
+        .run_full_defuse_in(FaultDomain::Memory);
     assert_eq!(result.space.size(), 128);
     assert_eq!(result.failure_weight(), 48);
 }
