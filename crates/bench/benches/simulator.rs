@@ -30,7 +30,7 @@ fn bench_fork(c: &mut Criterion) {
     let mut group = c.benchmark_group("simulator/fork");
     let program = sync2(Variant::SumDmr);
     let mut m = Machine::new(&program);
-    m.run_to(1_000);
+    m.run(1_000);
     group.bench_function("clone_mid_run", |b| b.iter(|| m.clone()));
     group.finish();
 }

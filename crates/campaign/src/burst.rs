@@ -16,7 +16,7 @@
 use crate::executor::Campaign;
 use crate::outcome::{Outcome, OutcomeClass};
 use crate::result::FaultDomain;
-use sofi_machine::{CfFault, Machine};
+use sofi_machine::{CfFault, Machine, RunStatus};
 use sofi_rng::Rng;
 use sofi_space::{ClassIndex, ClassRef, FaultCoord};
 
@@ -147,7 +147,7 @@ impl Campaign {
         draws.sort_unstable();
 
         let budget = self.config().cycle_budget(self.golden().cycles);
-        let mut pristine = self.fork_pristine();
+        let mut pristine = self.fresh_machine();
         let mut result = BurstSampledResult {
             benchmark: self.program().name.clone(),
             domain,
@@ -177,11 +177,8 @@ impl Campaign {
                 result.by_kind[Outcome::NoEffect.kind_index()] += 1;
                 continue;
             }
-            if pristine.cycle() > coord.pre_injection_cycle() {
-                pristine = self.fork_pristine();
-            }
-            let early = pristine.run_to(coord.pre_injection_cycle());
-            assert!(early.is_none(), "draw outlived the program");
+            let status = pristine.run(coord.pre_injection_cycle());
+            assert_eq!(status, RunStatus::CycleLimit, "draw outlived the program");
             let mut m = pristine.clone();
             inject(&mut m, base, width);
             let status = m.run(budget);
@@ -192,16 +189,6 @@ impl Campaign {
             }
         }
         result
-    }
-
-    /// A fresh machine configured like this campaign's experiment
-    /// machines (program, limits, external events).
-    pub(crate) fn fork_pristine(&self) -> Machine {
-        Machine::with_events(
-            self.program(),
-            self.config().machine,
-            self.events().to_vec(),
-        )
     }
 }
 

@@ -5,7 +5,8 @@ use crate::outcome::Outcome;
 use crate::result::{CampaignResult, ExperimentResult, FaultDomain};
 use sofi_isa::Program;
 use sofi_machine::{
-    AccessKind, BlockStats, CfFault, ConvergenceMask, ExternalEvent, Machine, StateDigest,
+    AccessKind, BlockStats, CfFault, ConvergenceMask, ExternalEvent, Machine, RunStatus,
+    StateDigest,
 };
 use sofi_space::{DefUseAnalysis, Experiment, InjectionPlan};
 use sofi_telemetry::{names, LocalHistogram, Registry};
@@ -784,8 +785,9 @@ impl Campaign {
         })
     }
 
-    /// A pristine machine at cycle 0.
-    fn fresh_machine(&self) -> Machine {
+    /// A pristine machine at cycle 0, configured like every experiment
+    /// machine of this campaign (program, limits, external events).
+    pub(crate) fn fresh_machine(&self) -> Machine {
         Machine::with_events(&self.program, self.config.machine, self.events.clone())
     }
 
@@ -811,8 +813,8 @@ impl Campaign {
             let mut snapshots = Vec::new();
             let mut cycle = spacing;
             while cycle < self.golden.cycles {
-                let early = machine.run_to(cycle);
-                debug_assert!(early.is_none(), "golden run outlived itself");
+                let status = machine.run(cycle);
+                debug_assert_eq!(status, RunStatus::CycleLimit, "golden run outlived itself");
                 // Digesting the running machine (not the clone) keeps its
                 // page-hash cache warm, so each snapshot digest only
                 // re-hashes pages written since the previous checkpoint
@@ -938,10 +940,9 @@ impl Campaign {
         experiments
             .iter()
             .map(|&e| {
-                let mut m =
-                    Machine::with_events(&self.program, self.config.machine, self.events.clone());
-                let early = m.run_to(e.coord.pre_injection_cycle());
-                assert!(early.is_none(), "plan outlived the program");
+                let mut m = self.fresh_machine();
+                let status = m.run(e.coord.pre_injection_cycle());
+                assert_eq!(status, RunStatus::CycleLimit, "plan outlived the program");
                 inject_fault(domain, &mut m, e.coord.bit);
                 let status = m.run(budget);
                 let outcome = Outcome::classify(status, m.serial(), m.detect_count(), &self.golden);
@@ -1002,9 +1003,10 @@ impl Campaign {
                 tel.restore_distance.record(pre_cycle - pristine.cycle());
                 restored = false;
             }
-            let early = pristine.run_to(pre_cycle);
-            assert!(
-                early.is_none(),
+            let status = pristine.run(pre_cycle);
+            assert_eq!(
+                status,
+                RunStatus::CycleLimit,
                 "golden-derived plan outlived the program (cycle {})",
                 e.coord.cycle
             );
@@ -1117,23 +1119,32 @@ impl Campaign {
         // Early termination is only sound if a converged run's tail — the
         // rest of the golden run — fits the budget; with any sane timeout
         // configuration it does (budget ≥ golden runtime).
-        if (self.config.convergence || memoize) && self.golden.cycles <= budget {
+        let walk = if (self.config.convergence || memoize) && self.golden.cycles <= budget {
             let first = checkpoints.partition_point(|c| c.machine.cycle() <= m.cycle());
-            for ckpt in &checkpoints[first..] {
-                if let Some(status) = m.run_to(ckpt.machine.cycle()) {
-                    stats.faulted_cycles += m.cycle() - start_cycle;
-                    tel.faulted_run_cycles.record(m.cycle() - start_cycle);
-                    let outcome =
-                        Outcome::classify(status, m.serial(), m.detect_count(), &self.golden);
-                    self.memo.insert_all(
-                        &waypoints,
-                        MemoEntry {
-                            outcome,
-                            final_cycle: m.cycle(),
-                        },
-                    );
-                    return outcome;
-                }
+            &checkpoints[first..]
+        } else {
+            &[]
+        };
+        // One sequence of bounds: every checkpoint still ahead, then the
+        // cycle budget. Each exit yields the outcome and the cycle the run
+        // (virtually) finishes at; the bookkeeping after the block is
+        // shared by all of them.
+        let bounds = walk
+            .iter()
+            .map(|c| (c.machine.cycle(), Some(c)))
+            .chain([(budget, None)]);
+        let (outcome, final_cycle) = 'run: {
+            for (bound, ckpt) in bounds {
+                let status = m.run(bound);
+                let ckpt = match ckpt {
+                    Some(ckpt) if status == RunStatus::CycleLimit => ckpt,
+                    // Stopped, or still running at the budget (a timeout).
+                    _ => {
+                        let outcome =
+                            Outcome::classify(status, m.serial(), m.detect_count(), &self.golden);
+                        break 'run (outcome, m.cycle());
+                    }
+                };
                 if memoize {
                     // Checkpoint-crossing lookup, deliberately *before*
                     // the convergence comparison: runs re-entering an
@@ -1142,24 +1153,13 @@ impl Campaign {
                     // resolve here and also donate their own waypoints.
                     let (key, hit) = gate.probe(tel, &self.memo, m);
                     if let Some(hit) = hit {
-                        stats.faulted_cycles += m.cycle() - start_cycle;
-                        tel.faulted_run_cycles.record(m.cycle() - start_cycle);
                         stats.memo_hits += 1;
                         stats.memoized_cycles_saved += hit.final_cycle.saturating_sub(m.cycle());
-                        self.memo.insert_all(
-                            &waypoints,
-                            MemoEntry {
-                                outcome: hit.outcome,
-                                final_cycle: hit.final_cycle,
-                            },
-                        );
-                        return hit.outcome;
+                        break 'run (hit.outcome, hit.final_cycle);
                     }
                     waypoints.push(key);
                 }
                 if self.config.convergence && m.converged_with_masked(&ckpt.machine, &ckpt.mask) {
-                    stats.faulted_cycles += m.cycle() - start_cycle;
-                    tel.faulted_run_cycles.record(m.cycle() - start_cycle);
                     stats.converged_early += 1;
                     stats.faulted_cycles_saved += self.golden.cycles - m.cycle();
                     let outcome = if !self.golden.matches_serial_prefix(m.serial()) {
@@ -1171,26 +1171,18 @@ impl Campaign {
                     };
                     // A converged run finishes (virtually) at the golden
                     // run's end; its recorded trajectory is still exact.
-                    self.memo.insert_all(
-                        &waypoints,
-                        MemoEntry {
-                            outcome,
-                            final_cycle: self.golden.cycles,
-                        },
-                    );
-                    return outcome;
+                    break 'run (outcome, self.golden.cycles);
                 }
             }
-        }
-        let status = m.run(budget);
+            unreachable!("the walk ends at the cycle budget")
+        };
         stats.faulted_cycles += m.cycle() - start_cycle;
         tel.faulted_run_cycles.record(m.cycle() - start_cycle);
-        let outcome = Outcome::classify(status, m.serial(), m.detect_count(), &self.golden);
         self.memo.insert_all(
             &waypoints,
             MemoEntry {
                 outcome,
-                final_cycle: m.cycle(),
+                final_cycle,
             },
         );
         outcome
@@ -1717,7 +1709,7 @@ mod tests {
     fn cycle_zero_coordinate_is_flip_before_first_instruction() {
         // Regression: the pre-injection advance used to compute
         // `coord.cycle - 1`, which underflows u64 for a raw cycle-0
-        // coordinate (e.g. from a remote client) and sent `run_to` off
+        // coordinate (e.g. from a remote client) and sent the advance off
         // toward 2⁶⁴ cycles. A cycle-0 flip must instead behave exactly
         // like the cycle-1 coordinate: applied before the first
         // instruction executes.

@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! sofi run <prog.s> [--limit N]            execute, show output and cycles
-//! sofi campaign <prog.s> [--registers] [--json] [--threads N]
+//! sofi campaign <prog.s> [--domain NAME] [--json] [--threads N]
 //!                                          full def/use fault-space scan
 //! sofi sample <prog.s> --draws N [--seed S] [--mode raw|weighted|biased]
 //!                                          sampling campaign + extrapolation
@@ -23,7 +23,7 @@
 //! sofi worker --connect A [--name N]       leased remote worker: poll the
 //!                                          coordinator for fault-list
 //!                                          shards, execute, upload
-//! sofi submit <prog.s> [--registers|--memory] [--wait] [--cold]
+//! sofi submit <prog.s> [--domain NAME] [--wait] [--cold]
 //!                                          queue a campaign on the daemon
 //! sofi status [job-id]                     job + worker tables with live
 //!                                          progress/rates
@@ -82,7 +82,7 @@ sofi — fault-injection methodology toolkit (DSN'15 pitfalls paper)
 
 USAGE:
   sofi run <prog.s> [--limit N]
-  sofi campaign <prog.s> [--domain NAME | --registers] [--json] [--threads N]
+  sofi campaign <prog.s> [--domain NAME] [--json] [--threads N]
                [--telemetry FILE]
   sofi sample <prog.s> --draws N [--seed S] [--mode raw|weighted|biased]
   sofi diagram <prog.s>
@@ -92,7 +92,7 @@ USAGE:
   sofi serve [--addr A] [--journal PATH] [--store FILE] [--workers N]
              [--queue N] [--batch N] [--lease-ms N] [--remote-only]
   sofi worker --connect A [--name NAME] [--poll-ms N] [--max-idle-polls N]
-  sofi submit <prog.s> [--addr A] [--domain NAME | --registers | --memory]
+  sofi submit <prog.s> [--addr A] [--domain NAME]
               [--wait] [--threads N] [--cold] [--json] [--out FILE]
   sofi status [job-id] [--addr A]
   sofi stats [job-id] [--addr A] [--watch] [--json] [--out FILE]
@@ -103,8 +103,7 @@ Addresses containing `/` are Unix socket paths; anything else is TCP
 host:port. The default address is 127.0.0.1:4715.
 
 Fault domains (--domain): memory (default), register-file, instr-skip,
-opcode-bit, branch-invert. `--registers`/`--memory` are legacy
-shorthands for the first two.
+opcode-bit, branch-invert.
 ";
 
 /// Entry point: dispatches an argument vector (without the binary name).
@@ -203,35 +202,13 @@ fn positional(args: &[String], n: usize) -> Result<&str, CliError> {
 }
 
 /// Resolves the fault domain from `--domain NAME` (any spelling
-/// [`FaultDomain`]'s `FromStr` accepts) or the legacy `--registers` /
-/// `--memory` shorthands. Unknown names are rejected by name; combining
-/// `--domain` with a shorthand is an error rather than a silent
-/// precedence rule, as is combining the two shorthands.
-fn parse_domain_flags(args: &[String]) -> Result<FaultDomain, CliError> {
-    let named = match flag_value(args, "--domain") {
-        Some(v) => Some(
-            v.parse::<FaultDomain>()
-                .map_err(|e| CliError(e.to_string()))?,
-        ),
-        None => None,
-    };
-    let registers = args.iter().any(|a| a == "--registers");
-    let memory = args.iter().any(|a| a == "--memory");
-    if registers && memory {
-        return Err(CliError(
-            "--registers and --memory are mutually exclusive".into(),
-        ));
-    }
-    if named.is_some() && (registers || memory) {
-        return Err(CliError(
-            "--domain conflicts with the --registers/--memory shorthands".into(),
-        ));
-    }
-    Ok(named.unwrap_or(if registers {
-        FaultDomain::RegisterFile
-    } else {
-        FaultDomain::Memory
-    }))
+/// [`FaultDomain`]'s `FromStr` accepts; memory when absent). Unknown
+/// names are rejected by name.
+fn parse_domain_flag(args: &[String]) -> Result<FaultDomain, CliError> {
+    flag_value(args, "--domain").map_or(Ok(FaultDomain::Memory), |v| {
+        v.parse::<FaultDomain>()
+            .map_err(|e| CliError(e.to_string()))
+    })
 }
 
 fn cmd_run(args: &[String]) -> Result<String, CliError> {
@@ -301,14 +278,13 @@ fn cmd_campaign(args: &[String]) -> Result<String, CliError> {
         args,
         &[
             ("--domain", true),
-            ("--registers", false),
             ("--json", false),
             ("--threads", true),
             ("--telemetry", true),
         ],
     )?;
     let program = load_program(positional(args, 0)?)?;
-    let domain = parse_domain_flags(args)?;
+    let domain = parse_domain_flag(args)?;
     let telemetry_path = flag_value(args, "--telemetry");
     let config = CampaignConfig {
         threads: parse_u64(args, "--threads", 0)? as usize,
@@ -631,7 +607,7 @@ fn submit_spec(args: &[String]) -> Result<JobSpec, CliError> {
     // Assemble locally first purely for early diagnostics — the daemon
     // re-assembles from source and is the source of truth.
     assemble_text(&name, &source).map_err(|e| CliError(format!("{path}: {e}")))?;
-    let domain = parse_domain_flags(args)?;
+    let domain = parse_domain_flag(args)?;
     Ok(JobSpec {
         name,
         source,
@@ -652,8 +628,6 @@ fn cmd_submit(args: &[String]) -> Result<String, CliError> {
         &[
             ("--addr", true),
             ("--domain", true),
-            ("--registers", false),
-            ("--memory", false),
             ("--wait", false),
             ("--threads", true),
             ("--cold", false),
@@ -974,7 +948,13 @@ mod tests {
     #[test]
     fn campaign_registers_command() {
         let p = write_temp("hi3.s", HI);
-        let out = dispatch(&args(&["campaign", p.to_str().unwrap(), "--registers"])).unwrap();
+        let out = dispatch(&args(&[
+            "campaign",
+            p.to_str().unwrap(),
+            "--domain",
+            "register-file",
+        ]))
+        .unwrap();
         assert!(out.contains("RegisterFile"), "{out}");
     }
 
@@ -1023,18 +1003,14 @@ mod tests {
     }
 
     #[test]
-    fn domain_flag_conflicts_with_shorthands() {
+    fn removed_domain_shorthands_are_unknown_flags() {
         let p = write_temp("hi_cf3.s", HI);
-        let err = dispatch(&args(&[
-            "campaign",
-            p.to_str().unwrap(),
-            "--domain",
-            "memory",
-            "--registers",
-        ]))
-        .unwrap_err()
-        .0;
-        assert!(err.contains("--domain conflicts"), "{err}");
+        for cmd in ["campaign", "submit"] {
+            let err = dispatch(&args(&[cmd, p.to_str().unwrap(), "--registers"]))
+                .unwrap_err()
+                .0;
+            assert!(err.contains("unknown flag `--registers`"), "{cmd}: {err}");
+        }
     }
 
     #[test]
@@ -1230,20 +1206,6 @@ mod tests {
                 .is_some(),
             "{json}"
         );
-    }
-
-    #[test]
-    fn submit_rejects_conflicting_domains() {
-        let p = write_temp("hi9.s", HI);
-        let err = dispatch(&args(&[
-            "submit",
-            p.to_str().unwrap(),
-            "--registers",
-            "--memory",
-        ]))
-        .unwrap_err()
-        .0;
-        assert!(err.contains("mutually exclusive"), "{err}");
     }
 
     #[test]

@@ -17,10 +17,7 @@
 //! * the register-access events an instruction must report to a
 //!   [`crate::MemObserver`] are precomputed per slot ([`RegEvents`]),
 //!   and skipped entirely — statically, via
-//!   [`crate::MemObserver::OBSERVES`] — for the `NullObserver` path;
-//! * straight-line run lengths ([`BlockTable::straight`]) record the
-//!   basic-block structure: the distance from each slot to (and
-//!   including) its next control-flow instruction.
+//!   [`crate::MemObserver::OBSERVES`] — for the `NullObserver` path.
 //!
 //! The table is built at machine construction and shared by `Arc`: the
 //! ROM is immutable (`Machine` executes from read-only memory and the
@@ -28,8 +25,8 @@
 //! and campaign forks inherit it for free. The tight execution loop over
 //! this IR lives in `cpu.rs` (`Machine::exec_uops`), where the machine's
 //! private state is in scope; cycle-exact boundaries — the injection
-//! cycle, checkpoint probes, `cycle_limit`, and external-event latch
-//! cycles — are enforced by the dispatcher (`Machine::run_blocks_to`),
+//! cycle, checkpoint probes, the cycle budget, and external-event latch
+//! cycles — are enforced by the run loop (`Machine::run_observed`),
 //! which caps each µop burst so it can never cross one.
 
 use sofi_isa::{BranchKind, Inst, MemWidth, Reg};
@@ -142,20 +139,15 @@ pub(crate) struct RegEvents {
 }
 
 /// The decode-once execution table for one ROM: a µop and its observer
-/// events per instruction slot, aligned by PC, plus the straight-line
-/// block structure. Lookup is the identity on the PC — no hashing, no
-/// discovery at run time, and (because the ROM is immutable) no
-/// invalidation, ever.
+/// events per instruction slot, aligned by PC. Lookup is the identity
+/// on the PC — no hashing, no discovery at run time, and (because the
+/// ROM is immutable) no invalidation, ever.
 #[derive(Debug)]
 pub(crate) struct BlockTable {
     /// One µop per ROM slot.
     pub(crate) uops: Vec<Uop>,
     /// Observer reg-access events per ROM slot.
     pub(crate) events: Vec<RegEvents>,
-    /// `straight[pc]`: number of instructions from `pc` through the end
-    /// of its basic block (the next control-flow instruction, inclusive,
-    /// or the ROM end). Always ≥ 1 for a non-empty ROM.
-    pub(crate) straight: Vec<u32>,
 }
 
 impl BlockTable {
@@ -169,32 +161,7 @@ impl BlockTable {
             uops.push(lower(*inst, pc as u32, n as u32));
             events.push(reg_events(*inst));
         }
-        let mut straight = vec![0u32; n];
-        for pc in (0..n).rev() {
-            straight[pc] = if rom[pc].is_control() || pc + 1 == n {
-                1
-            } else {
-                straight[pc + 1] + 1
-            };
-        }
-        BlockTable {
-            uops,
-            events,
-            straight,
-        }
-    }
-
-    /// Number of basic blocks in the ROM (block = maximal straight-line
-    /// run; diagnostics only — surfaced as
-    /// `crate::Machine::rom_block_count`).
-    pub(crate) fn block_count(&self) -> usize {
-        let mut pc = 0usize;
-        let mut count = 0usize;
-        while pc < self.straight.len() {
-            pc += self.straight[pc] as usize;
-            count += 1;
-        }
-        count
+        BlockTable { uops, events }
     }
 }
 
@@ -481,9 +448,9 @@ fn reg_events(inst: Inst) -> RegEvents {
 }
 
 /// Per-machine execution-engine counters, cloned along with the machine
-/// (campaign workers diff snapshots around each faulted run). All three
-/// cover only the [`crate::Machine::run_blocks_to`]-family entry points;
-/// direct `step`/`step_observed` calls are not attributed.
+/// (campaign workers diff snapshots around each faulted run). Every
+/// instruction retired by [`crate::Machine::run`] is attributed to
+/// exactly one engine: `block_cycles + step_cycles == cycle()`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BlockStats {
     /// Instructions retired through the pre-decoded µop loop.
@@ -528,27 +495,6 @@ mod tests {
         let mut a = Asm::new();
         f(&mut a);
         BlockTable::decode(&a.build().unwrap().insts)
-    }
-
-    #[test]
-    fn straight_runs_end_at_control_flow() {
-        let t = table_of(|a| {
-            a.li(Reg::R1, 3); // 0
-            a.addi(Reg::R1, Reg::R1, -1); // 1
-            let top = a.new_label();
-            a.bind(top);
-            a.nop(); // 2
-            a.nop(); // 3
-            a.bne(Reg::R1, Reg::R0, top); // 4  ← block end
-            a.nop(); // 5
-            a.halt(0); // 6  ← block end
-        });
-        assert_eq!(t.straight, vec![5, 4, 3, 2, 1, 2, 1]);
-        // Maximal straight-line runs under a linear scan: [0..=4] (ends
-        // at the bne) and [5..=6] (ends at the halt). Branch *targets*
-        // are not leaders here — `straight` measures run lengths, not
-        // CFG partitioning.
-        assert_eq!(t.block_count(), 2);
     }
 
     #[test]

@@ -54,5 +54,5 @@ pub use observer::{
     REG_FILE_BITS,
 };
 pub use ram::Ram;
-pub use status::{RunStatus, StepResult};
+pub use status::RunStatus;
 pub use trap::Trap;

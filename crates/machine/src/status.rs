@@ -2,21 +2,8 @@
 
 use crate::trap::Trap;
 
-/// Result of a single [`crate::Machine::step`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StepResult {
-    /// The instruction executed; the machine can continue.
-    Running,
-    /// The machine halted (explicit `halt` or run-to-completion).
-    Halted {
-        /// Exit code (0 = normal completion).
-        code: u16,
-    },
-    /// A CPU exception occurred; the machine is stopped.
-    Trapped(Trap),
-}
-
-/// Result of running a machine until completion or a cycle limit.
+/// Result of [`crate::Machine::run`]: how the machine stands after
+/// running to a cycle bound.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum RunStatus {
@@ -27,8 +14,9 @@ pub enum RunStatus {
     },
     /// A CPU exception stopped the machine.
     Trapped(Trap),
-    /// The cycle limit was reached before the program finished. In an FI
-    /// experiment this is classified as a timeout failure.
+    /// The machine is still running at the cycle bound. In an FI
+    /// experiment a run still going at its cycle budget is classified as
+    /// a timeout failure.
     CycleLimit,
 }
 

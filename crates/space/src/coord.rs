@@ -25,7 +25,7 @@ impl FaultCoord {
     /// a remote client), and a `cycle: 0` coordinate must mean "flip
     /// before the first instruction" — identical to `cycle: 1` — rather
     /// than underflow `u64` and run the pristine machine for 2⁶⁴−1
-    /// cycles. Every pre-injection `run_to` in the campaign crate goes
+    /// cycles. Every pre-injection `run` in the campaign crate goes
     /// through this accessor.
     pub fn pre_injection_cycle(&self) -> u64 {
         self.cycle.saturating_sub(1)

@@ -359,7 +359,7 @@ mod tests {
         let mut corrected = 0;
         for byte in 0..tcb_bytes {
             let mut m = Machine::new(&p);
-            m.run_to(40); // past boot, into the first thread
+            m.run(40); // past boot, into the first thread
             m.flip_bit((tcbs_addr + byte) as u64 * 8 + 3);
             let status = m.run(100_000);
             assert_eq!(status, RunStatus::Halted { code: 0 }, "byte {byte}");

@@ -8,11 +8,12 @@
 //!
 //! 1. lockstep equivalence: a machine executing through the µop engine
 //!    and one forced onto the single-step interpreter, driven through
-//!    the same random sequence of `run_to` boundaries with the same
+//!    the same random sequence of `run` boundaries with the same
 //!    mid-run injections — bit flips (memory and register file) and
 //!    armed control-flow faults (instruction skip, opcode corruption,
 //!    branch inversion) — have equal state digests, statuses, and cycle
-//!    counts at *every* boundary;
+//!    counts at *every* boundary, and each machine attributes every
+//!    retired instruction to exactly one engine;
 //! 2. campaign equivalence: the default (block-engine) executor —
 //!    composed with convergence and memoization — produces outcomes
 //!    identical to the naive stepping executor on random fault lists in
@@ -199,9 +200,9 @@ fn fuzz_block_engine_lockstep_with_step_interpreter() {
                     }
                 }
             }
-            let a = blocks.run_to(bound);
-            let b = steps.run_to(bound);
-            assert_eq!(a, b, "round {round}: early-stop status at cycle {bound}");
+            let a = blocks.run(bound);
+            let b = steps.run(bound);
+            assert_eq!(a, b, "round {round}: status at cycle {bound}");
             assert_eq!(
                 blocks.cycle(),
                 steps.cycle(),
@@ -213,6 +214,14 @@ fn fuzz_block_engine_lockstep_with_step_interpreter() {
                 "round {round}: state digest diverged at cycle {}",
                 blocks.cycle()
             );
+            for (engine, m) in [("block", &blocks), ("step", &steps)] {
+                let s = m.block_stats();
+                assert_eq!(
+                    s.block_cycles + s.step_cycles,
+                    m.cycle(),
+                    "round {round}: {engine} machine's engine accounting at boundary {bound}"
+                );
+            }
         }
         assert_eq!(
             steps.block_stats().block_cycles,

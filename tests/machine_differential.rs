@@ -277,9 +277,8 @@ fn machine_agrees_with_independent_model() {
     }
 }
 
-/// Observer-attached and observer-free runs share one stepping entry
-/// point (`run_to` used to silently step with `NullObserver` while
-/// `run_observed` took the generic path): an observer must never perturb
+/// Observer-attached and observer-free runs share one run loop (`run`
+/// is `run_observed` with a `NullObserver`): an observer must never perturb
 /// execution, so both report identical cycle counts and final
 /// architectural state — with the block engine on and off — and the two
 /// engines must feed an attached observer the exact same event streams.

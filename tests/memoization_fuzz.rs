@@ -206,7 +206,7 @@ fn fuzz_state_digest_equality_tracks_architectural_equality() {
             let mut machines: Vec<Machine> = (0..2)
                 .map(|_| {
                     let mut m = Machine::new(&program);
-                    m.run_to(rng.gen_range(0u64..golden_cycles));
+                    m.run(rng.gen_range(0u64..golden_cycles));
                     if rng.gen_bool(0.7) {
                         let bits = program.ram_size as u64 * 8;
                         if rng.gen_bool(0.5) {
@@ -215,7 +215,7 @@ fn fuzz_state_digest_equality_tracks_architectural_equality() {
                             m.flip_reg_bit(rng.gen_range(0u64..REG_FILE_BITS));
                         }
                     }
-                    m.run_to(rng.gen_range(0u64..2 * golden_cycles));
+                    m.run(rng.gen_range(0u64..2 * golden_cycles));
                     m
                 })
                 .collect();
@@ -287,7 +287,7 @@ fn fuzz_incremental_digest_matches_from_scratch_rehash() {
                 // Advance past a random boundary (possibly beyond the
                 // golden run, possibly a no-op when already past it).
                 0 | 1 => {
-                    m.run_to(rng.gen_range(0u64..2 * golden_cycles));
+                    m.run(rng.gen_range(0u64..2 * golden_cycles));
                 }
                 // Mid-run fault injection in either domain.
                 2 => {
@@ -309,7 +309,7 @@ fn fuzz_incremental_digest_matches_from_scratch_rehash() {
                 // digest must be unaffected (checked on the next probe).
                 _ => {
                     if let Some(f) = forks.last_mut() {
-                        f.run_to(rng.gen_range(0u64..2 * golden_cycles));
+                        f.run(rng.gen_range(0u64..2 * golden_cycles));
                         if rng.gen_bool(0.7) {
                             f.flip_bit(rng.gen_range(0u64..bits));
                         }

@@ -16,7 +16,7 @@ fn flip_reg_bit_changes_the_right_register() {
     a.serial_out(Reg::R3);
     let p = a.build().unwrap();
     let mut m = Machine::new(&p);
-    m.run_to(1);
+    m.run(1);
     m.flip_reg_bit((3 - 1) * 32 + 4); // r3, bit 4
     m.run(100);
     assert_eq!(m.serial(), &[16]);
